@@ -12,6 +12,7 @@ prescribed running average.
 from .core import (
     Interval,
     IntervalUnion,
+    MeanSet,
     Rat,
     arithmetic_mean,
     avg_iu,
@@ -24,8 +25,10 @@ from .core import (
     iu_scale,
     iu_shift,
     iu_union,
+    mean_set,
     point,
     rat,
+    singleton,
 )
 from .errors import (
     BudgetExceeded,
@@ -82,7 +85,6 @@ from .topology import (
     split_at,
 )
 from .measure import avg_set, cantor_neighborhood_stats, ms_hf, neighborhood
-from .meanset_type import MeanSet, mean_set, singleton
 from .means import (
     CellCover,
     MeanOutcome,

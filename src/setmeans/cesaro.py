@@ -25,12 +25,11 @@ from .setexpr import (
     Seq,
     Seq2,
     SetExpr,
-    Union,
-    bounds,
-    is_countably_infinite,
-    normalize_affine,
-    point_generator,
     _seq_value_index,
+    is_countably_infinite,
+    leaves,
+    point_generator,
+    union,
 )
 from .terms import (
     TermFun,
@@ -50,8 +49,8 @@ class ValueStream:
     """Single-consumer injective stream with exact bookkeeping.
 
     Emits floats; the exact value is kept alongside while its size stays
-    tractable.  The running sum is maintained exactly while feasible and in
-    compensated floating point always.
+    tractable.  The running sum is maintained exactly while feasible and as
+    a plain floating-point sum always.
     """
 
     def __init__(
@@ -73,7 +72,6 @@ class ValueStream:
         self.label = label
         self.emitted_count = 0
         self.partial_sum_float = 0.0
-        self._comp = 0.0
         self.partial_sum_exact: Fraction | None = Fraction(0)
 
     def elem_rate(self, eps: Fraction) -> int:
@@ -491,11 +489,11 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
 # witnesses and whole-set rearrangements
 
 
-def _witness_backing(leaves, target: Rat):
+def _witness_backing(ls, target: Rat):
     """(backing, leaf index, consumes-whole-leaf) for a subsequence of one
     leaf converging to the target extreme.  The backing is ('seq', Seq) for
     sequence-shaped witnesses or ('dense', Dense, target_hi)."""
-    for i, leaf in enumerate(leaves):
+    for i, leaf in enumerate(ls):
         if isinstance(leaf, Seq) and leaf.limit == target:
             return ("seq", leaf), i, True
         if isinstance(leaf, Seq2):
@@ -645,10 +643,9 @@ def split_three(s: SetExpr):
     even- and odd-indexed halves."""
     if not is_countably_infinite(s):
         raise NoWitness("rearrangements need a countably infinite set")
-    norm = normalize_affine(s)
-    leaves = list(norm.parts) if isinstance(norm, Union) else [norm]
+    ls = leaves(s)
     lo, hi = ideal_limits(s, Ideal.FINITE_SETS)
-    got = _witness_backing(leaves, lo)
+    got = _witness_backing(ls, lo)
     if got is None:
         raise NoWitness("no representable subsequence converges to the lower limit")
     a_back, a_leaf, a_full = got
@@ -656,14 +653,14 @@ def split_three(s: SetExpr):
     consumed = {a_leaf} if a_full else set()
     partial = not a_full
     if hi == lo:
-        rest_leaves = _remainder_leaves(leaves, consumed)
+        rest_leaves = _remainder_leaves(ls, consumed)
         skip_vals, skip_calls = _c_skips(
             rest_leaves, [(_mark_partial(a_back, partial), a)]
         )
         c = canonical_stream(_as_expr(rest_leaves), skip_vals, skip_calls)
         return _subsample(a, 0), _subsample(a, 1), c, lo, hi
     masked = [
-        l if i != a_leaf or not a_full else Finite(()) for i, l in enumerate(leaves)
+        l if i != a_leaf or not a_full else Finite(()) for i, l in enumerate(ls)
     ]
     got = _witness_backing(masked, hi)
     if got is None:
@@ -677,7 +674,7 @@ def split_three(s: SetExpr):
         b = _filter_stream(_stream_from_backing(b_back, label="witness-hi"), a.contains)
     if b_full:
         consumed = consumed | {b_leaf}
-    rest_leaves = _remainder_leaves(leaves, consumed)
+    rest_leaves = _remainder_leaves(ls, consumed)
     skip_vals, skip_calls = _c_skips(
         rest_leaves,
         [(_mark_partial(a_back, not a_full), a), (_mark_partial(b_back, not b_full), b)],
@@ -694,18 +691,16 @@ def _mark_partial(backing, partial: bool):
     return backing
 
 
-def _remainder_leaves(leaves, consumed: set):
+def _remainder_leaves(ls, consumed: set):
     return [
         l
-        for i, l in enumerate(leaves)
+        for i, l in enumerate(ls)
         if i not in consumed and not (isinstance(l, Finite) and not l.points)
     ]
 
 
 def _as_expr(rest) -> SetExpr | None:
-    if not rest:
-        return None
-    return Union(tuple(rest)) if len(rest) > 1 else rest[0]
+    return union(*rest) if rest else None
 
 
 def _filter_stream(src: ValueStream, banned) -> ValueStream:

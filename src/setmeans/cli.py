@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import meansets
-from .core import rat
+from .core import MeanSet, rat
 from .errors import SetMeansError
 from .means import (
     MeanOutcome,
@@ -29,7 +29,6 @@ from .means import (
     mean_lis,
     lavg,
 )
-from .meanset_type import MeanSet
 from .measure import avg_set, ms_hf
 from .parser import ParseError, parse
 from .setexpr import bounds, enumerate_points, render, normalize_affine
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--terms", type=int, default=1000)
     p_re.add_argument("--out", default=None)
     p_re.add_argument("--csv", action="store_true")
-    p_re.add_argument("--json", dest="as_json", action="store_true")
     p_re.set_defaults(fn=_cmd_rearrange)
 
     p_chk = sub.add_parser("check", help="run structural invariant checks", parents=[common])

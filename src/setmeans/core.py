@@ -4,7 +4,7 @@ Everything downstream measures sets and takes first moments through this
 module, so all arithmetic here is exact: endpoints are `fractions.Fraction`
 values and open/closed endpoint flags are carried explicitly.  The flags do
 not affect measure or moment (a point has measure zero); they matter when an
-interval union is used to report a mean-set.
+interval union is used to report a mean-set, so `MeanSet` is the same type.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class IntervalUnion:
 
     Normal form is unique for a given point set: parts sorted by lo, pairwise
     disjoint, and no two parts touch in a way that would let them merge.
-    Construct through iu_normalize().
+    Construct through iu_normalize().  Set-valued means are returned as this
+    type (alias `MeanSet`); a singleton is a degenerate closed part.
     """
 
     parts: tuple[Interval, ...]
@@ -125,6 +126,12 @@ class IntervalUnion:
             raise ValueError("empty union has no span")
         return self.parts[0].lo, self.parts[-1].hi
 
+    def subset_of(self, other: "IntervalUnion") -> bool:
+        return iu_contains_union(other, self)
+
+    def map_affine(self, alpha: Rat, beta: Rat) -> "IntervalUnion":
+        return iu_shift(iu_scale(self, alpha), beta)
+
     def __repr__(self):
         if not self.parts:
             return "<empty>"
@@ -132,6 +139,7 @@ class IntervalUnion:
 
 
 EMPTY_UNION = IntervalUnion(())
+MeanSet = IntervalUnion
 
 
 def _mergeable(acc: Interval, nxt: Interval) -> bool:
@@ -161,8 +169,7 @@ def iu_normalize(raw: Iterable[Interval]) -> IntervalUnion:
     return IntervalUnion(tuple(out))
 
 
-def iu_from_points(points: Iterable[Rat]) -> IntervalUnion:
-    return iu_normalize(point(x) for x in points)
+mean_set = iu_normalize
 
 
 def iu_measure(u: IntervalUnion) -> Rat:
@@ -249,6 +256,10 @@ def iu_contains_union(big: IntervalUnion, small: IntervalUnion) -> bool:
         if i >= len(big.parts) or not _part_covers(big.parts[i], s):
             return False
     return True
+
+
+def singleton(x: Rat) -> MeanSet:
+    return IntervalUnion((point(x),))
 
 
 def arithmetic_mean(values: Sequence[Rat]) -> Rat:

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Rat, arithmetic_mean
+from .core import Rat, arithmetic_mean, avg_iu
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -24,8 +24,6 @@ from .errors import (
 )
 from .measure import cantor_neighborhood_stats, neighborhood
 from .setexpr import (
-    Affine,
-    Cantor,
     Dense,
     Finite,
     IntervalSet,
@@ -33,8 +31,10 @@ from .setexpr import (
     Seq2,
     SetExpr,
     bounds,
+    cantor_map,
+    has_uncountable_leaf,
     is_infinite,
-    normalize_affine,
+    leaves,
 )
 from .terms import (
     TermFun,
@@ -49,6 +49,7 @@ from .terms import (
 from .topology import (
     Ideal,
     _IDEAL_ORDER,
+    _positive_interval_leaves,
     acc_chain,
     ideal_limits,
     is_empty_expr,
@@ -210,19 +211,12 @@ def _divergent(trace, floats, sched) -> MeanOutcome:
 
 
 def _finite_points(s: SetExpr) -> list[Rat]:
-    s = normalize_affine(s)
     pts: set[Rat] = set()
-    from .setexpr import Union
-
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Union):
-            stack.extend(node.parts)
-        elif isinstance(node, Finite):
-            pts.update(node.points)
-        elif isinstance(node, IntervalSet) and node.iv.is_point():
-            pts.add(node.iv.lo)
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            pts.update(leaf.points)
+        elif isinstance(leaf, IntervalSet) and leaf.iv.is_point():
+            pts.add(leaf.iv.lo)
         else:
             raise SemanticError("set is not finite")
     return sorted(pts)
@@ -247,16 +241,13 @@ DEFAULT_CHAIN = (Ideal.FINITE_SETS, Ideal.COUNTABLE_SETS)
 
 
 def _in_ideal(s: SetExpr, ideal: Ideal) -> bool:
-    from .setexpr import has_uncountable_leaf
-    from .topology import _positive_interval_leaves
-
     if ideal is Ideal.EMPTY_ONLY:
         return is_empty_expr(s)
     if ideal is Ideal.FINITE_SETS:
         return not is_infinite(s)
     if ideal is Ideal.COUNTABLE_SETS:
         return not has_uncountable_leaf(s)
-    return not _positive_interval_leaves(s)
+    return not _positive_interval_leaves(leaves(s))
 
 
 def mean_ideal_chain(s: SetExpr, chain=DEFAULT_CHAIN) -> MeanOutcome:
@@ -320,21 +311,6 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
 _EXACT_NBR_BUDGET = 3000
 
 
-def _single_cantor_map(s: SetExpr):
-    from .setexpr import Union
-
-    s = normalize_affine(s)
-    leaves = list(s.parts) if isinstance(s, Union) else [s]
-    if len(leaves) != 1:
-        return None
-    leaf = leaves[0]
-    if isinstance(leaf, Cantor):
-        return Fraction(1), Fraction(0)
-    if isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
-        return leaf.alpha, leaf.beta
-    return None
-
-
 def _seq_float_parts(limit, tf, delta, out):
     """Append ascending (lo, hi) float parts for one sequence leaf."""
     d = float(delta)
@@ -362,14 +338,10 @@ def _seq_float_parts(limit, tf, delta, out):
     out.append(pieces)
 
 
-def _lavg_eval_float(s: SetExpr, delta) -> float:
-    from .setexpr import Union
-
-    s = normalize_affine(s)
-    leaves = list(s.parts) if isinstance(s, Union) else [s]
+def _lavg_eval_float(ls, delta) -> float:
     lists = []
     d = float(delta)
-    for leaf in leaves:
+    for leaf in ls:
         if isinstance(leaf, Finite):
             lists.append(sorted((float(p) - d, float(p) + d) for p in leaf.points))
         elif isinstance(leaf, Seq):
@@ -406,21 +378,20 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
         sched = delta_schedule()
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
-    cantor_map = _single_cantor_map(s)
+    ls = leaves(s)
+    cmap = cantor_map(ls[0]) if len(ls) == 1 else None
 
     def evaluate(delta):
-        if cantor_map is not None:
-            measure, moment = cantor_neighborhood_stats(*cantor_map, delta)
+        if cmap is not None:
+            measure, moment = cantor_neighborhood_stats(*cmap, delta)
             val = moment / measure
             return float(val), val
         try:
             u = neighborhood(s, delta, budget=_EXACT_NBR_BUDGET)
-            from .core import avg_iu
-
             val = avg_iu(u)
             return float(val), val
         except BudgetExceeded:
-            return _lavg_eval_float(s, delta), None
+            return _lavg_eval_float(ls, delta), None
 
     return run_schedule(evaluate, sched)
 
@@ -592,13 +563,12 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     lo, hi, lo_att, hi_att = bounds(s)
     if lo < a or hi > b or (hi == b and hi_att):
         raise OutOfBase("point set must lie inside [a, b)")
-    s = normalize_affine(s)
-    from .setexpr import Union
-
-    leaves = list(s.parts) if isinstance(s, Union) else [s]
     ranges: list[tuple[int, int]] = []
-    for leaf in leaves:
-        if isinstance(leaf, Finite):
+    for leaf in leaves(s):
+        cmap = cantor_map(leaf)
+        if cmap is not None:
+            _cantor_cell_ranges(*cmap, a, b, n, budget, ranges)
+        elif isinstance(leaf, Finite):
             for p in leaf.points:
                 i = _cell_index(p, a, b, n)
                 ranges.append((i, i))
@@ -626,10 +596,6 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
             if q == i1:
                 i1 -= 1  # open upper end contributes nothing at the boundary
             ranges.append((i0, i1))
-        elif isinstance(leaf, Cantor):
-            _cantor_cell_ranges(Fraction(1), Fraction(0), a, b, n, budget, ranges)
-        elif isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
-            _cantor_cell_ranges(leaf.alpha, leaf.beta, a, b, n, budget, ranges)
         else:
             raise TypeError(f"unknown leaf {leaf!r}")
         if len(ranges) > budget:

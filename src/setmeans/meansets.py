@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Interval, Rat
+from .core import EMPTY_UNION, Interval, MeanSet, Rat, mean_set, singleton
 from .errors import Unsupported
-from .meanset_type import EMPTY_MEAN_SET, MeanSet, mean_set, singleton
 from .setexpr import SetExpr, is_countably_infinite
 from .terms import (
     GeoTerm,
@@ -47,12 +46,9 @@ def ms_a(s: SetExpr) -> MeanSet:
     return MeanSet((Interval(lo, hi),))
 
 
-def ms_ces(s: SetExpr) -> MeanSet:
-    """All attainable rearranged running-average limits: the same closed
-    interval, every interior value being realizable by a rearrangement."""
-    _require_countable(s)
-    lo, hi = ideal_limits(s, Ideal.FINITE_SETS)
-    return MeanSet((Interval(lo, hi),))
+# All attainable rearranged running-average limits: the same closed interval,
+# every interior value being realizable by a rearrangement.
+ms_ces = ms_a
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +71,7 @@ def ms_as(s: SetExpr) -> MeanSet:
         a = st.anchors[0]
         if a.left_sided and a.right_sided:
             return singleton(a.value)
-        return EMPTY_MEAN_SET
+        return EMPTY_UNION
     a1, a4 = st.min_value(), st.max_value()
     a2 = _acc_second_from_min(st)
     a3 = _acc_second_from_max(st)
@@ -91,7 +87,7 @@ def ms_axs(s: SetExpr) -> MeanSet:
         a = st.anchors[0]
         if a.left_sided and a.right_sided:
             return singleton(a.value)
-        return EMPTY_MEAN_SET
+        return EMPTY_UNION
     if n_acc == 2:
         return singleton((st.anchors[0].value + st.anchors[1].value) / 2)
     parts: list[Interval] = []

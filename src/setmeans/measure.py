@@ -8,37 +8,27 @@ from fractions import Fraction
 from .core import (
     Interval,
     IntervalUnion,
+    MeanSet,
     Rat,
     arithmetic_mean,
+    avg_iu,
     iu_measure,
     iu_normalize,
 )
 from .errors import BudgetExceeded, Unsupported, UndefinedMean, ZeroMeasure
-from .meanset_type import MeanSet
 from .setexpr import (
-    Affine,
-    Cantor,
     Dense,
     Finite,
     IntervalSet,
     Seq,
     Seq2,
     SetExpr,
-    normalize_affine,
+    cantor_map,
+    leaves,
 )
 from .terms import tf_resolution_index, tf_value
 
 _DEFAULT_PART_BUDGET = 200_000
-
-
-def _leaves(s: SetExpr):
-    from .setexpr import Union
-
-    if isinstance(s, Union):
-        for p in s.parts:
-            yield from _leaves(p)
-    else:
-        yield s
 
 
 def _ball(x: Rat, delta: Rat) -> Interval:
@@ -128,10 +118,12 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
     """The open delta-neighbourhood of the set, as an exact interval union."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    s = normalize_affine(s)
     parts: list[Interval] = []
-    for leaf in _leaves(s):
-        if isinstance(leaf, Finite):
+    for leaf in leaves(s):
+        cmap = cantor_map(leaf)
+        if cmap is not None:
+            parts.extend(_cantor_parts(*cmap, delta, budget))
+        elif isinstance(leaf, Finite):
             parts.extend(_ball(p, delta) for p in leaf.points)
         elif isinstance(leaf, Seq):
             parts.extend(_seq_parts(leaf.limit, leaf.tail, delta, budget))
@@ -141,10 +133,6 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
             parts.append(Interval(leaf.iv.lo - delta, leaf.iv.hi + delta, True, True))
         elif isinstance(leaf, Dense):
             parts.append(Interval(leaf.lo - delta, leaf.hi + delta, True, True))
-        elif isinstance(leaf, Cantor):
-            parts.extend(_cantor_parts(Fraction(1), Fraction(0), delta, budget))
-        elif isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
-            parts.extend(_cantor_parts(leaf.alpha, leaf.beta, delta, budget))
         else:
             raise TypeError(f"unknown leaf {leaf!r}")
         if len(parts) > budget:
@@ -172,28 +160,26 @@ def cantor_neighborhood_stats(alpha: Rat, beta: Rat, delta: Rat) -> tuple[Rat, R
 # measure-based average
 
 
+def _positive_intervals(ls) -> list[Interval]:
+    """The closed positive-length interval leaves."""
+    return [
+        Interval(l.iv.lo, l.iv.hi)
+        for l in ls
+        if isinstance(l, IntervalSet) and not l.iv.is_point()
+    ]
+
+
 def avg_set(s: SetExpr) -> Rat:
     """Average by the natural measure of the dominant-rank part of the set.
 
     Positive-length interval leaves dominate; otherwise affine cantor leaves
     (all carrying the same map); otherwise a plain finite set.
     """
-    s = normalize_affine(s)
-    from .core import avg_iu
-
-    interval_parts = [
-        Interval(l.iv.lo, l.iv.hi)
-        for l in _leaves(s)
-        if isinstance(l, IntervalSet) and not l.iv.is_point()
-    ]
+    ls = leaves(s)
+    interval_parts = _positive_intervals(ls)
     if interval_parts:
         return avg_iu(iu_normalize(interval_parts))
-    cantor_maps = set()
-    for l in _leaves(s):
-        if isinstance(l, Cantor):
-            cantor_maps.add((Fraction(1), Fraction(0)))
-        elif isinstance(l, Affine) and isinstance(l.inner, Cantor):
-            cantor_maps.add((l.alpha, l.beta))
+    cantor_maps = {cantor_map(l) for l in ls} - {None}
     if cantor_maps:
         if len(cantor_maps) > 1:
             raise Unsupported(
@@ -202,7 +188,7 @@ def avg_set(s: SetExpr) -> Rat:
         alpha, beta = next(iter(cantor_maps))
         return alpha / 2 + beta
     points = set()
-    for l in _leaves(s):
+    for l in ls:
         if isinstance(l, Finite):
             points.update(l.points)
         elif isinstance(l, IntervalSet) and l.iv.is_point():
@@ -223,13 +209,7 @@ def avg_set(s: SetExpr) -> Rat:
 def ms_hf(s: SetExpr) -> MeanSet:
     """The set of points splitting the Lebesgue measure of the interval
     leaves in half; always a nonempty closed interval."""
-    s = normalize_affine(s)
-    parts = [
-        Interval(l.iv.lo, l.iv.hi)
-        for l in _leaves(s)
-        if isinstance(l, IntervalSet) and not l.iv.is_point()
-    ]
-    u = iu_normalize(parts)
+    u = iu_normalize(_positive_intervals(leaves(s)))
     total = iu_measure(u)
     if total == 0:
         raise ZeroMeasure("half-measure set needs positive measure")

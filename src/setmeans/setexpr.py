@@ -25,7 +25,6 @@ from .terms import (
     tf_monotone_index,
     tf_scale,
     tf_value,
-    tf_value_float,
 )
 
 _PREFIX_CAP = 200_000
@@ -231,12 +230,23 @@ def _push_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
     raise TypeError(f"unknown node {s!r}")
 
 
-def affine_leaves(s: SetExpr):
-    """Leaves of the normalized expression (Cantor kept under its map)."""
+def leaves(s: SetExpr) -> tuple[SetExpr, ...]:
+    """The flat leaf tuple of normalize_affine(s).
+
+    No leaf is a Union, and the only Affine leaf is a mapped Cantor set,
+    Affine(alpha, beta, Cantor()), which stays one leaf.
+    """
     s = normalize_affine(s)
-    if isinstance(s, Union):
-        return list(s.parts)
-    return [s]
+    return s.parts if isinstance(s, Union) else (s,)
+
+
+def cantor_map(leaf: SetExpr) -> tuple[Rat, Rat] | None:
+    """(alpha, beta) when the leaf is alpha * C + beta, else None."""
+    if isinstance(leaf, Cantor):
+        return Fraction(1), Fraction(0)
+    if isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
+        return leaf.alpha, leaf.beta
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +526,6 @@ def enumerate_points(s: SetExpr, budget: int) -> list[Rat]:
             seen.add(v)
             out.append(v)
     return out
-
-
-# ---------------------------------------------------------------------------
-# float sampling (for oracles and fast paths)
-
-
-def sample_floats(s: SetExpr, budget: int) -> list[float]:
-    return [float(v) for v in enumerate_points(s, budget)]
-
-
-def seq_point_float(s: Seq, n: int) -> float:
-    return float(s.limit) + tf_value_float(s.tail, n)
 
 
 # ---------------------------------------------------------------------------

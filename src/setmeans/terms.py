@@ -599,9 +599,3 @@ def tf_single_pow(tf: TermFun) -> PowTerm | None:
     if len(tf.terms) == 1 and isinstance(tf.terms[0], PowTerm):
         return tf.terms[0]
     return None
-
-
-def tf_single_geo(tf: TermFun) -> GeoTerm | None:
-    if len(tf.terms) == 1 and isinstance(tf.terms[0], GeoTerm):
-        return tf.terms[0]
-    return None

@@ -30,11 +30,15 @@ from .setexpr import (
     Seq2,
     SetExpr,
     Union,
+    _seq_value_index,
     bounds,
+    cantor_map,
     contains_point,
     has_uncountable_leaf,
     is_infinite,
+    leaves,
     normalize_affine,
+    tf_value_bounds,
     union,
 )
 from .terms import (
@@ -44,6 +48,7 @@ from .terms import (
     tf_eventual_sign,
     tf_find_value,
     tf_monotone_index,
+    tf_scale,
     tf_value,
     tf_value_float,
     tf_with_start,
@@ -160,33 +165,17 @@ _IDEAL_ORDER = {
 }
 
 
-def _positive_interval_leaves(s: SetExpr) -> list[Interval]:
-    out = []
-    for leaf in _leaves(normalize_affine(s)):
-        if isinstance(leaf, IntervalSet) and not leaf.iv.is_point():
-            out.append(leaf.iv)
-    return out
+def _positive_interval_leaves(ls) -> list[Interval]:
+    return [l.iv for l in ls if isinstance(l, IntervalSet) and not l.iv.is_point()]
 
 
-def _uncountable_leaf_bounds(s: SetExpr) -> list[tuple[Rat, Rat]]:
-    out = []
-    for leaf in _leaves(normalize_affine(s)):
-        if isinstance(leaf, IntervalSet) and not leaf.iv.is_point():
-            out.append((leaf.iv.lo, leaf.iv.hi))
-        elif isinstance(leaf, Cantor):
-            out.append((Fraction(0), Fraction(1)))
-        elif isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
+def _uncountable_leaf_bounds(ls) -> list[tuple[Rat, Rat]]:
+    out = [(iv.lo, iv.hi) for iv in _positive_interval_leaves(ls)]
+    for leaf in ls:
+        if cantor_map(leaf) is not None:
             lo, hi, _, _ = bounds(leaf)
             out.append((lo, hi))
     return out
-
-
-def _leaves(s: SetExpr):
-    if isinstance(s, Union):
-        for p in s.parts:
-            yield from _leaves(p)
-    else:
-        yield s
 
 
 def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
@@ -207,12 +196,12 @@ def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
         lo, hi, _, _ = bounds(d)
         return lo, hi
     if ideal is Ideal.COUNTABLE_SETS:
-        pieces = _uncountable_leaf_bounds(s)
+        pieces = _uncountable_leaf_bounds(leaves(s))
         if not pieces:
             raise InIdeal("countable set")
         return min(p[0] for p in pieces), max(p[1] for p in pieces)
     if ideal is Ideal.NULL_SETS:
-        ivs = _positive_interval_leaves(s)
+        ivs = _positive_interval_leaves(leaves(s))
         if not ivs:
             raise InIdeal("set of measure zero")
         return min(iv.lo for iv in ivs), max(iv.hi for iv in ivs)
@@ -272,7 +261,6 @@ def _split(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
             _drop_empty([p[1] for p in parts]),
         )
     if isinstance(s, Affine):  # only Cantor stays wrapped after normalization
-        assert isinstance(s.inner, Cantor)
         y0 = (y - s.beta) / s.alpha
         b, a = _split_cantor(y0)
         wrap = lambda t: normalize_affine(Affine(s.alpha, s.beta, t))
@@ -379,7 +367,7 @@ def _first_tail_le(tf: TermFun, lo: int, t: Rat) -> int:
 def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
     """Split a double sequence with positive parts; finitely many straddlers."""
     f, g = s.outer, s.inner
-    _, g_top, _, _ = _tf_value_extent(g)
+    _, g_top, _, _ = tf_value_bounds(g)
     t = y - s.limit
     if t <= 0:
         return EMPTY, s
@@ -403,12 +391,6 @@ def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
         below_parts.append(b)
         above_parts.append(a)
     return _drop_empty(below_parts), _drop_empty(above_parts)
-
-
-def _tf_value_extent(tf: TermFun):
-    from .setexpr import tf_value_bounds
-
-    return tf_value_bounds(tf)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +417,6 @@ class AccFamily:
     start: int
     left_sided: bool  # sidedness of the family's points as acc points of H
     right_sided: bool
-
-    def top(self) -> Rat:
-        return self.limit + tf_value(tf_with_start(self.tf, self.start), self.start)
 
     def value(self, n: int) -> Rat:
         return self.limit + tf_value(self.tf, n)
@@ -486,12 +465,11 @@ def acc_structure(s: SetExpr) -> AccStructure:
 
     Requires a countable set built from finite/sequence leaves.
     """
-    s = normalize_affine(s)
     if has_uncountable_leaf(s):
         raise Unsupported("accumulation structure needs a countable set")
     anchor_flags: dict[Rat, tuple[bool, bool]] = {}
     families: list[AccFamily] = []
-    for leaf in _leaves(s):
+    for leaf in leaves(s):
         if isinstance(leaf, Finite):
             continue
         if isinstance(leaf, Dense):
@@ -729,14 +707,11 @@ def _first_tail_gt_neg(tf: TermFun, lo: int, t: Rat) -> int | None:
 # isolated points
 
 
-def _check_isolated_dense(s: SetExpr):
-    s = normalize_affine(s)
-    for leaf in _leaves(s):
-        if isinstance(leaf, (IntervalSet, Cantor, Dense)) or (
-            isinstance(leaf, Affine)
-        ):
-            if isinstance(leaf, IntervalSet) and leaf.iv.is_point():
-                continue
+def _check_isolated_dense(ls):
+    for leaf in ls:
+        if isinstance(leaf, IntervalSet) and leaf.iv.is_point():
+            continue
+        if not isinstance(leaf, (Finite, Seq, Seq2)):
             raise NotIsolatedDense(
                 "set is not the closure of its isolated points"
             )
@@ -754,8 +729,7 @@ class _AccComponent:
 
 def _acc_components(s: SetExpr) -> list[_AccComponent]:
     comps = []
-    d = normalize_affine(derived_set(s))
-    for leaf in _leaves(d):
+    for leaf in leaves(derived_set(s)):
         if isinstance(leaf, Finite):
             comps.extend(_AccComponent("point", value=p) for p in leaf.points)
         elif isinstance(leaf, Seq):
@@ -782,7 +756,7 @@ def _dist_to_component(comp: _AccComponent, x: Rat) -> Rat:
     sign = tf_eventual_sign(tf)
     if t != 0 and (t > 0) == (sign > 0):
         if sign < 0:
-            tf = _negate(tf)
+            tf = tf_scale(tf, -1)
             t = -t
         lo = m + 1
         if tf_cmp(tf, lo, t) <= 0:
@@ -793,18 +767,6 @@ def _dist_to_component(comp: _AccComponent, x: Rat) -> Rat:
                 if cand >= lo:
                     best = min(best, abs(t - tf_value(tf, cand)))
     return best
-
-
-def _negate(tf: TermFun) -> TermFun:
-    from .terms import tf_scale
-
-    return tf_scale(tf, Fraction(-1))
-
-
-def _seq_value_index(limit: Rat, tf: TermFun, x: Rat) -> int | None:
-    from .setexpr import _seq_value_index as impl
-
-    return impl(limit, tf, x)
 
 
 def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
@@ -865,13 +827,12 @@ def _survives(main: Rat, tinies, comps, delta: Rat) -> bool:
     return True
 
 
-def _iter_unique_candidates(s: SetExpr, delta: Rat, budget: int):
+def _iter_unique_candidates(ls, delta: Rat, budget: int):
     """All candidates across leaves, each distinct value exactly once."""
     from .terms import tiny_signature
 
-    s = normalize_affine(s)
     seen: set = set()
-    for leaf in _leaves(s):
+    for leaf in ls:
         for _id, main, tinies, xf in _leaf_candidates_exact(leaf, delta, budget):
             key = (main, tiny_signature(tinies))
             if key in seen:
@@ -885,10 +846,11 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
     accumulation point (H minus the open delta-neighbourhood of H')."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _check_isolated_dense(s)
+    ls = leaves(s)
+    _check_isolated_dense(ls)
     comps = _acc_components(s)
     out: list[Rat] = []
-    for main, tinies, _xf in _iter_unique_candidates(s, delta, budget):
+    for main, tinies, _xf in _iter_unique_candidates(ls, delta, budget):
         if _survives(main, tinies, comps, delta):
             if tinies:
                 raise BudgetExceeded(
@@ -901,27 +863,26 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
 
 
 def isolated_stats(s: SetExpr, delta: Rat, budget: int = 10_000_000) -> tuple[int, float]:
-    """(count, compensated float sum) of H - S(H', delta)."""
-    _check_isolated_dense(s)
+    """(count, uncompensated float sum) of H - S(H', delta)."""
+    ls = leaves(s)
+    _check_isolated_dense(ls)
     comps = _acc_components(s)
-    s = normalize_affine(s)
-    leaves = list(_leaves(s))
     simple = all(c.kind == "point" for c in comps) and all(
-        isinstance(l, (Finite, Seq)) for l in leaves
+        isinstance(l, (Finite, Seq)) for l in ls
     )
     if not simple:
         count = 0
         total = 0.0
-        for main, tinies, xf in _iter_unique_candidates(s, delta, min(budget, 400_000)):
+        for main, tinies, xf in _iter_unique_candidates(ls, delta, min(budget, 400_000)):
             if _survives(main, tinies, comps, delta):
                 count += 1
                 total += xf
         return count, total
     points = [c.value for c in comps]
-    skips = _build_skips(leaves, delta)
+    skips = _build_skips(ls, delta)
     count = 0
     total = 0.0
-    for leaf, skip in zip(leaves, skips):
+    for leaf, skip in zip(ls, skips):
         c, t = _fast_leaf_scan(leaf, skip, points, delta, budget - count)
         count += c
         total += t
@@ -951,7 +912,7 @@ def _fast_leaf_scan(leaf, skip: set, points: list[Rat], delta: Rat, budget: int)
     if tf_eventual_sign(tf0) > 0:
         tf, lim, flip = tf0, leaf.limit, 1
     else:
-        tf, lim, flip = _negate(tf0), -leaf.limit, -1
+        tf, lim, flip = tf_scale(tf0, -1), -leaf.limit, -1
     m = tf_monotone_index(tf)
     # prefix before the monotone tail: explicit exact checks
     for n in range(tf.start, m):
@@ -1221,27 +1182,23 @@ def _dist_point_cantor(x: Rat) -> Rat:
 
 
 def _closure_profile(s: SetExpr):
-    c = normalize_affine(closure(s))
-    leaves = list(_leaves(c))
-    if all(isinstance(l, Finite) for l in leaves):
-        pts = sorted({p for l in leaves for p in l.points})
+    ls = leaves(closure(s))
+    if all(isinstance(l, Finite) for l in ls):
+        pts = sorted({p for l in ls for p in l.points})
         return ("finite", pts)
-    if all(isinstance(l, (Finite, IntervalSet)) for l in leaves):
+    if all(isinstance(l, (Finite, IntervalSet)) for l in ls):
         from .core import iu_normalize, point
 
         parts = []
-        for l in leaves:
+        for l in ls:
             if isinstance(l, Finite):
                 parts.extend(point(p) for p in l.points)
             else:
                 parts.append(Interval(l.iv.lo, l.iv.hi))
         return ("iu", iu_normalize(parts))
-    if len(leaves) == 1:
-        l = leaves[0]
-        if isinstance(l, Cantor):
-            return ("cantor", Fraction(1), Fraction(0))
-        if isinstance(l, Affine) and isinstance(l.inner, Cantor):
-            return ("cantor", l.alpha, l.beta)
+    cmap = cantor_map(ls[0]) if len(ls) == 1 else None
+    if cmap is not None:
+        return ("cantor", *cmap)
     raise Unsupported("hausdorff distance not implemented for this shape pair")
 
 
