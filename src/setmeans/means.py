@@ -22,7 +22,7 @@ from .errors import (
     SemanticError,
     UndefinedMean,
 )
-from .measure import cantor_neighborhood_stats, neighborhood
+from .measure import _positive_intervals, cantor_neighborhood_stats, neighborhood
 from .setexpr import (
     Dense,
     Finite,
@@ -49,7 +49,6 @@ from .terms import (
 from .topology import (
     Ideal,
     _IDEAL_ORDER,
-    _positive_interval_leaves,
     acc_chain,
     ideal_limits,
     is_empty_expr,
@@ -247,7 +246,7 @@ def _in_ideal(s: SetExpr, ideal: Ideal) -> bool:
         return not is_infinite(s)
     if ideal is Ideal.COUNTABLE_SETS:
         return not has_uncountable_leaf(s)
-    return not _positive_interval_leaves(leaves(s))
+    return not _positive_intervals(leaves(s))
 
 
 def mean_ideal_chain(s: SetExpr, chain=DEFAULT_CHAIN) -> MeanOutcome:

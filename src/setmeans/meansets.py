@@ -157,29 +157,17 @@ def _piece_solution(u: Rat, v: Rat, mbar: Rat, top: Rat) -> Interval | None:
 def _inf_below(st: AccStructure, x: Rat) -> Rat | None:
     """Minimum of accumulation values strictly below x (attained: the
     accumulation set is closed)."""
-    best = None
-    for a in st.anchors:
-        if a.value < x:
-            best = a.value if best is None or a.value < best else best
-    for fam in st.families:
-        if tf_eventual_sign(fam.tf) < 0:
-            bottom = fam.value(fam.start)
-            if bottom < x:
-                best = bottom if best is None or bottom < best else best
-    return best
+    if not st.anchors:  # families have anchored limits, so H' is empty
+        return None
+    lo = st.min_value()
+    return lo if lo < x else None
 
 
 def _sup_above(st: AccStructure, x: Rat) -> Rat | None:
-    best = None
-    for a in st.anchors:
-        if a.value > x:
-            best = a.value if best is None or a.value > best else best
-    for fam in st.families:
-        if tf_eventual_sign(fam.tf) > 0:
-            topv = fam.value(fam.start)
-            if topv > x:
-                best = topv if best is None or topv > best else best
-    return best
+    if not st.anchors:
+        return None
+    hi = st.max_value()
+    return hi if hi > x else None
 
 
 def axs_condition_holds_structure(st: AccStructure, x: Rat) -> bool:

@@ -161,7 +161,7 @@ def cantor_neighborhood_stats(alpha: Rat, beta: Rat, delta: Rat) -> tuple[Rat, R
 
 
 def _positive_intervals(ls) -> list[Interval]:
-    """The closed positive-length interval leaves."""
+    """Closures of the positive-length interval leaves."""
     return [
         Interval(l.iv.lo, l.iv.hi)
         for l in ls

@@ -16,6 +16,10 @@ set-level algorithms cover infinite tails with finitely many checks.
 Deep geometric exponents are never materialized blindly: a term whose exact
 value would need more than TRACK_BITS bits is carried as a symbolic "tiny"
 with a certified magnitude bound, and comparisons resolve it exactly.
+
+`first_index` is the one index search of the package: every certificate
+index here, `tf_find_value` and the tail-threshold searches of `topology`
+ask it for the first index from which an upward-closed test holds.
 """
 
 from __future__ import annotations
@@ -342,21 +346,33 @@ def tf_eventual_sign(tf: TermFun) -> int:
     return 1 if _dominant(tf).c > 0 else -1
 
 
-def _persistent_once(check, n0: int) -> int:
-    """Smallest-found n >= n0 where check(n) holds; check is upward-closed."""
-    n = max(n0, 1)
-    while not check(n):
+def first_index(pred, lo: int, cap: int = _SEARCH_CAP) -> int | None:
+    """Least n >= lo with pred(n), for a pred that stays true once true.
+
+    Probes max(lo, 1) and its doublings until pred holds, then bisects the
+    last doubling; None once a probe passes cap.  Certificate tests that are
+    upward-closed only up to a float margin depend on this probe order, so
+    changing it can move their indices.
+    """
+    n = max(lo, 1)
+    while not pred(n):
         n *= 2
-        if n > _SEARCH_CAP:
-            raise SemanticError("certificate search exceeded depth budget")
-    lo, hi = max(n // 2, n0), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if check(mid):
-            hi = mid
+        if n > cap:
+            return None
+    a, b = max(n // 2, lo), n
+    while a < b:
+        mid = (a + b) // 2
+        if pred(mid):
+            b = mid
         else:
-            lo = mid + 1
-    return lo
+            a = mid + 1
+    return a
+
+
+def _certified(n: int | None) -> int:
+    if n is None:
+        raise SemanticError("certificate search exceeded depth budget")
+    return n
 
 
 def _ratio_persistent_index(dom: Term, oth: Term) -> int:
@@ -373,13 +389,13 @@ def _ratio_persistent_index(dom: Term, oth: Term) -> int:
             def ok(n):
                 return r * Fraction(n + 1, n) ** (p1 + 1) <= 1
 
-            return _persistent_once(ok, 1)
+            return _certified(first_index(ok, 1))
 
         def ok(n):
             gap = oth.s**n * (oth.s - 1)
             return cmp_pow_frac(r, gap, Fraction(n, n + 1) ** (p1 + 1)) <= 0
 
-        return _persistent_once(ok, 1)
+        return _certified(first_index(ok, 1))
     if isinstance(dom, GeoTerm):
         if isinstance(oth, GeoTerm):
             return 1  # exact geometric ratio
@@ -389,7 +405,7 @@ def _ratio_persistent_index(dom: Term, oth: Term) -> int:
             gap = oth.s**n * (oth.s - 1)
             return cmp_pow_frac(oth.r, gap, dom.r) <= 0
 
-        return _persistent_once(ok, 1)
+        return _certified(first_index(ok, 1))
     assert isinstance(dom, DoubleGeoTerm)
     assert isinstance(oth, DoubleGeoTerm)
     if oth.s == dom.s:
@@ -401,7 +417,7 @@ def _ratio_persistent_index(dom: Term, oth: Term) -> int:
         # oth's log-decay per step must outrun dom's from n on
         return (oth.s**n) * (oth.s - 1) * lo >= (dom.s**n) * (dom.s - 1) * ld * 1.0001
 
-    return _persistent_once(ok, 1)
+    return _certified(first_index(ok, 1))
 
 
 def _val_ratio_le(dom: Term, oth: Term, n: int, q: Fraction) -> bool:
@@ -498,7 +514,7 @@ def tf_monotone_index(tf: TermFun) -> int:
             _val_ratio_le(dom, o, n, q) and _dratio_le(dom, o, n, q) for o in others
         )
 
-    return _persistent_once(ok, base)
+    return _certified(first_index(ok, base))
 
 
 def tf_gap_bound(tf: TermFun, n: int) -> Fraction:
@@ -542,7 +558,7 @@ def tf_resolution_index(tf: TermFun, eps: Fraction) -> int:
     if eps <= 0:
         raise ValueError("resolution threshold must be positive")
     m = tf_monotone_index(tf)
-    return _persistent_once(lambda n: _gap_bound_lt(tf, n, eps), m)
+    return _certified(first_index(lambda n: _gap_bound_lt(tf, n, eps), m))
 
 
 def tf_abs_below_index(tf: TermFun, eps: Fraction) -> int:
@@ -550,7 +566,7 @@ def tf_abs_below_index(tf: TermFun, eps: Fraction) -> int:
     if eps <= 0:
         raise ValueError("threshold must be positive")
     m = tf_monotone_index(tf)
-    return _persistent_once(lambda n: _abs_upper_lt(tf, n, eps), m)
+    return _certified(first_index(lambda n: _abs_upper_lt(tf, n, eps), m))
 
 
 def tf_find_value(tf: TermFun, v: Fraction, n_lo: int | None = None) -> int | None:
@@ -564,35 +580,9 @@ def tf_find_value(tf: TermFun, v: Fraction, n_lo: int | None = None) -> int | No
     sign = tf_eventual_sign(tf)
     if v == 0 or (v > 0) != (sign > 0):
         return None
-    c0 = tf_cmp(tf, lo, v)
-    if c0 == 0:
-        return lo
-    # |f| decreasing: for positive tails f(lo) < v means v unattainable.
-    if (sign > 0 and c0 < 0) or (sign < 0 and c0 > 0):
-        return None
-    hi = lo
-    step = 1
-    while True:
-        hi = hi + step
-        step *= 2
-        if hi > _SEARCH_CAP:
-            return None
-        c = tf_cmp(tf, hi, v)
-        if c == 0:
-            return hi
-        if (sign > 0 and c < 0) or (sign < 0 and c > 0):
-            break
-    a, b = lo, hi
-    while a + 1 < b:
-        mid = (a + b) // 2
-        c = tf_cmp(tf, mid, v)
-        if c == 0:
-            return mid
-        if (sign > 0 and c > 0) or (sign < 0 and c < 0):
-            a = mid
-        else:
-            b = mid
-    return None
+    # |f| decreases from lo: v can only sit at the first n with |f(n)| <= |v|
+    n = first_index(lambda n: sign * tf_cmp(tf, n, v) <= 0, lo)
+    return n if n is not None and tf_cmp(tf, n, v) == 0 else None
 
 
 def tf_single_pow(tf: TermFun) -> PowTerm | None:

@@ -20,6 +20,7 @@ from .errors import (
     SemanticError,
     Unsupported,
 )
+from .measure import _positive_intervals
 from .setexpr import (
     Affine,
     Cantor,
@@ -43,6 +44,7 @@ from .setexpr import (
 )
 from .terms import (
     TermFun,
+    first_index,
     tf_abs_below_index,
     tf_cmp,
     tf_eventual_sign,
@@ -55,6 +57,17 @@ from .terms import (
 )
 
 EMPTY = Finite(())
+
+# Tail-threshold searches give up past this index.
+_INDEX_CAP = 1 << 50
+
+
+def _tail_index(pred, lo: int) -> int:
+    """first_index under _INDEX_CAP; a search past it exhausts the budget."""
+    n = first_index(pred, lo, _INDEX_CAP)
+    if n is None:
+        raise BudgetExceeded("tail threshold search exceeded budget")
+    return n
 
 
 def is_empty_expr(s: SetExpr) -> bool:
@@ -133,7 +146,7 @@ def acc_chain(s: SetExpr, max_depth: int = 16) -> tuple[list[SetExpr], bool]:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     chain: list[SetExpr] = []
-    cur = normalize_affine(derived_set(s))
+    cur = derived_set(s)  # derived sets come out flat and canonical
     prev: SetExpr | None = normalize_affine(s)
     for _ in range(max_depth):
         chain.append(cur)
@@ -142,7 +155,7 @@ def acc_chain(s: SetExpr, max_depth: int = 16) -> tuple[list[SetExpr], bool]:
         if cur == prev:
             return chain, False  # nonempty fixpoint can never empty out
         prev = cur
-        cur = normalize_affine(derived_set(cur))
+        cur = derived_set(cur)
     return chain, False
 
 
@@ -165,12 +178,8 @@ _IDEAL_ORDER = {
 }
 
 
-def _positive_interval_leaves(ls) -> list[Interval]:
-    return [l.iv for l in ls if isinstance(l, IntervalSet) and not l.iv.is_point()]
-
-
 def _uncountable_leaf_bounds(ls) -> list[tuple[Rat, Rat]]:
-    out = [(iv.lo, iv.hi) for iv in _positive_interval_leaves(ls)]
+    out = [(iv.lo, iv.hi) for iv in _positive_intervals(ls)]
     for leaf in ls:
         if cantor_map(leaf) is not None:
             lo, hi, _, _ = bounds(leaf)
@@ -201,7 +210,7 @@ def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
             raise InIdeal("countable set")
         return min(p[0] for p in pieces), max(p[1] for p in pieces)
     if ideal is Ideal.NULL_SETS:
-        ivs = _positive_interval_leaves(leaves(s))
+        ivs = _positive_intervals(leaves(s))
         if not ivs:
             raise InIdeal("set of measure zero")
         return min(iv.lo for iv in ivs), max(iv.hi for iv in ivs)
@@ -321,7 +330,7 @@ def _split_seq(s: Seq, y: Rat) -> tuple[SetExpr, SetExpr]:
                 _drop_empty([Finite(tuple(above_pts)), tail]),
             )
         # tail values descend to 0: find first index with value <= t
-        n_star = _first_tail_le(tf, m + 1, t)
+        n_star = _tail_index(lambda n: tf_cmp(tf, n, t) <= 0, m + 1)
         if n_star - (m + 1) > _SPLIT_CAP:
             raise BudgetExceeded("split produces too many explicit points")
         for n in range(m + 1, n_star):
@@ -343,27 +352,6 @@ def _split_seq(s: Seq, y: Rat) -> tuple[SetExpr, SetExpr]:
     return flip(a), flip(b)
 
 
-def _first_tail_le(tf: TermFun, lo: int, t: Rat) -> int:
-    """First n >= lo (monotone positive tail) with f(n) <= t; t > 0."""
-    if tf_cmp(tf, lo, t) <= 0:
-        return lo
-    hi = lo
-    step = 1
-    while tf_cmp(tf, hi, t) > 0:
-        lo = hi
-        hi += step
-        step *= 2
-        if hi > 1 << 50:
-            raise BudgetExceeded("tail threshold search exceeded budget")
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if tf_cmp(tf, mid, t) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
     """Split a double sequence with positive parts; finitely many straddlers."""
     f, g = s.outer, s.inner
@@ -378,7 +366,7 @@ def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
     if t <= g_top:
         raise Unsupported("cut point lies in the accumulation band of clusters")
     # clusters with outer value <= t - g_top sit entirely at or below y
-    n_c = _first_tail_le(f, mf + 1, t - g_top)
+    n_c = _tail_index(lambda n: tf_cmp(f, n, t - g_top) <= 0, mf + 1)
     if n_c - f.start > 10_000:
         raise BudgetExceeded("split produces too many explicit clusters")
     below_parts: list[SetExpr] = [Seq2(s.limit, tf_with_start(f, n_c), g)]
@@ -619,7 +607,7 @@ def _fam_extreme_below(fam: AccFamily, x: Rat) -> Rat | None:
         top = fam.value(fam.start)
         if x > top:
             return top
-        n = _first_tail_lt(fam.tf, fam.start, t)
+        n = _tail_index(lambda n: tf_cmp(fam.tf, n, t) < 0, fam.start)
         return fam.value(n)
     # negative family: values in [bottom, limit), increasing with n
     bottom = fam.value(fam.start)
@@ -627,7 +615,8 @@ def _fam_extreme_below(fam: AccFamily, x: Rat) -> Rat | None:
         return None
     if x >= fam.limit:
         return fam.limit  # values accumulate just under the limit
-    n = _last_tail_lt_neg(fam.tf, fam.start, t)
+    # the last value below x sits just before the first one at or above it
+    n = _tail_index(lambda n: tf_cmp(fam.tf, n, t) >= 0, fam.start) - 1
     return fam.value(n)
 
 
@@ -641,7 +630,7 @@ def _fam_extreme_above(fam: AccFamily, x: Rat) -> Rat | None:
             return None
         if t <= 0:
             return fam.limit  # values accumulate just above the limit
-        n = _first_tail_le(fam.tf, fam.start, t)
+        n = _tail_index(lambda n: tf_cmp(fam.tf, n, t) <= 0, fam.start)
         # values decrease with n; the smallest one above t is at index n-1
         return fam.value(n - 1) if n - 1 >= fam.start else None
     # negative family: values in [bottom, limit), increasing with n
@@ -650,57 +639,8 @@ def _fam_extreme_above(fam: AccFamily, x: Rat) -> Rat | None:
         return bottom
     if x >= fam.limit:
         return None
-    n = _first_tail_gt_neg(fam.tf, fam.start, t)
+    n = first_index(lambda n: tf_cmp(fam.tf, n, t) > 0, fam.start, _INDEX_CAP)
     return fam.value(n) if n is not None else None
-
-
-def _first_tail_lt(tf: TermFun, lo: int, t: Rat) -> int:
-    """First n >= lo with f(n) < t (positive decreasing tail, 0 < t)."""
-    n = _first_tail_le(tf, lo, t)
-    while tf_cmp(tf, n, t) == 0:
-        n += 1
-    return n
-
-
-def _last_tail_lt_neg(tf: TermFun, lo: int, t: Rat) -> int:
-    """Largest n with f(n) < t for a negative increasing tail, f(lo) < t."""
-    n = lo
-    step = 1
-    while tf_cmp(tf, n + step, t) < 0:
-        n += step
-        step *= 2
-        if n > 1 << 50:
-            raise BudgetExceeded("tail search exceeded budget")
-    hi = n + step
-    while n + 1 < hi:
-        mid = (n + hi) // 2
-        if tf_cmp(tf, mid, t) < 0:
-            n = mid
-        else:
-            hi = mid
-    return n
-
-
-def _first_tail_gt_neg(tf: TermFun, lo: int, t: Rat) -> int | None:
-    """First n >= lo with f(n) > t for a negative increasing tail."""
-    if tf_cmp(tf, lo, t) > 0:
-        return lo
-    n = lo
-    step = 1
-    while tf_cmp(tf, n, t) <= 0:
-        n += step
-        step *= 2
-        if n > 1 << 50:
-            return None
-    lo2, hi = n - step // 2, n
-    lo2 = max(lo2, lo)
-    while lo2 + 1 < hi:
-        mid = (lo2 + hi) // 2
-        if tf_cmp(tf, mid, t) <= 0:
-            lo2 = mid
-        else:
-            hi = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -759,13 +699,10 @@ def _dist_to_component(comp: _AccComponent, x: Rat) -> Rat:
             tf = tf_scale(tf, -1)
             t = -t
         lo = m + 1
-        if tf_cmp(tf, lo, t) <= 0:
-            best = min(best, abs(t - tf_value(tf, lo)))
-        else:
-            n = _first_tail_le(tf, lo, t)
-            for cand in (n - 1, n):
-                if cand >= lo:
-                    best = min(best, abs(t - tf_value(tf, cand)))
+        n = _tail_index(lambda n: tf_cmp(tf, n, t) <= 0, lo)
+        for cand in (n - 1, n):
+            if cand >= lo:
+                best = min(best, abs(t - tf_value(tf, cand)))
     return best
 
 
@@ -930,13 +867,12 @@ def _fast_leaf_scan(leaf, skip: set, points: list[Rat], delta: Rat, budget: int)
         lo_val, hi_val = t - delta, t + delta
         if hi_val <= 0:
             continue  # the open exclusion band misses the positive tail
-        n1 = _first_tail_lt(tf, m, hi_val)  # first f(n) < t + delta
+        n1 = _tail_index(lambda n: tf_cmp(tf, n, hi_val) < 0, m)
         if lo_val <= 0:
             n2 = None  # band reaches below the tail: excluded forever
         else:
-            n2 = _first_tail_le(tf, m, lo_val)
-            if tf_cmp(tf, n2, lo_val) == 0:
-                pass  # f(n2) == t - delta survives (open ball)
+            # first f(n) <= t - delta; f(n2) == t - delta survives (open ball)
+            n2 = _tail_index(lambda n: tf_cmp(tf, n, lo_val) <= 0, m)
         if n2 is None:
             tail_end = n1 if tail_end is None else min(tail_end, n1)
         elif n2 > n1:
@@ -1046,7 +982,6 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
     indices hitting a finite point, and equal values between two sequence
     leaves (solved through the monotone tails, never by scanning floats).
     """
-    from .setexpr import bounds as expr_bounds
     from .terms import tf_value_parts, tiny_signature
 
     skips: list[set] = [set() for _ in leaves]
@@ -1066,7 +1001,7 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
             if idx is not None:
                 skips[j].add(("s", idx))
     # pairwise sequence overlap: keep the earlier leaf's copy
-    spans = {i: expr_bounds(leaves[i])[:2] for i in seq_ids}
+    spans = {i: bounds(leaves[i])[:2] for i in seq_ids}
     tiny_keys: dict = {}
     for pos_a in range(len(seq_ids)):
         for pos_b in range(pos_a + 1, len(seq_ids)):
@@ -1094,10 +1029,11 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
     for j in seq_ids:
         leaf = leaves[j]
         cutoff = tf_abs_below_index(leaf.tail, delta)
-        if cutoff - leaf.tail.start > 200:
-            lo = _first_tiny_index(leaf.tail, cutoff)
-        else:
-            lo = leaf.tail.start
+        lo = leaf.tail.start
+        if cutoff - lo > 200:
+            # a symbolic tail, once it appears, stays: exponents grow with n
+            has_tiny = lambda n: bool(tf_value_parts(leaf.tail, n)[1])
+            lo = _tail_index(has_tiny, lo) if has_tiny(cutoff - 1) else cutoff
         for n in range(lo, cutoff):
             main, tinies = tf_value_parts(leaf.tail, n)
             if not tinies:
@@ -1108,28 +1044,6 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
             else:
                 tiny_keys[key] = (j, n)
     return skips
-
-
-def _first_tiny_index(tf: TermFun, hi: int) -> int:
-    """First index carrying a symbolic tail (upward-closed in the index)."""
-    from .terms import tf_value_parts
-
-    def has_tiny(n: int) -> bool:
-        return bool(tf_value_parts(tf, n)[1])
-
-    if not has_tiny(hi - 1):
-        return hi
-    lo = tf.start
-    if has_tiny(lo):
-        return lo
-    top = hi - 1
-    while lo + 1 < top:
-        mid = (lo + top) // 2
-        if has_tiny(mid):
-            top = mid
-        else:
-            lo = mid
-    return top
 
 
 def _cantor_max_le(t: Rat) -> Rat | None:

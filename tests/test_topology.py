@@ -28,7 +28,7 @@ from setmeans import (
 )
 from setmeans.topology import is_empty_expr
 
-from gen import random_countable, random_rat
+from gen import random_bounded, random_countable, random_rat
 
 H1 = parse("{1/n} U {1 + 1/n}")
 H3 = parse("{1/n} U {1 + 1/n + 1/k}")
@@ -105,6 +105,15 @@ def test_derived_commutes_with_affine():
         lhs = normalize_affine(derived_set(normalize_affine(Affine(alpha, beta, s))))
         rhs = normalize_affine(Affine(alpha, beta, derived_set(s)))
         assert lhs == rhs
+
+
+def test_derived_set_is_canonical():
+    # acc_chain and the CLI render derived sets without normalizing them again
+    rng = Random(79)
+    for i in range(400):
+        s = random_bounded(rng) if i % 2 else random_countable(rng)
+        d = derived_set(s)
+        assert normalize_affine(d) == d, render(s)
 
 
 def test_ideal_limits():
