@@ -64,6 +64,7 @@ from .setexpr import (
     is_countably_infinite,
     is_infinite,
     has_uncountable_leaf,
+    map_affine,
     normalize_affine,
     render,
     seq,

@@ -31,7 +31,7 @@ from .means import (
 )
 from .measure import avg_set, ms_hf
 from .parser import ParseError, parse
-from .setexpr import bounds, enumerate_points, render, normalize_affine
+from .setexpr import bounds, enumerate_points, map_affine, render
 from .topology import (
     Ideal,
     acc_chain,
@@ -167,7 +167,7 @@ def _cmd_topology(args) -> int:
     if op == "derived":
         _emit({"op": op, "result": render(derived_set(s))})
     elif op == "closure":
-        _emit({"op": op, "result": render(normalize_affine(closure(s)))})
+        _emit({"op": op, "result": render(closure(s))})
     elif op == "chain":
         chain, terminated = acc_chain(s)
         _emit(
@@ -252,10 +252,8 @@ def _cmd_check(args) -> int:
         lo, hi, _, _ = bounds(s)
         results["bounds"] = lo <= hi
     if "derived-affine" in wanted:
-        from .setexpr import Affine
-
-        mapped = normalize_affine(Affine(rat(2), rat(1), s))
-        rhs = normalize_affine(Affine(rat(2), rat(1), derived_set(s)))
+        mapped = map_affine(s, 2, 1)
+        rhs = map_affine(derived_set(s), 2, 1)
         results["derived-affine"] = derived_set(mapped) == rhs
     if "split" in wanted:
         lo, hi, _, _ = bounds(s)

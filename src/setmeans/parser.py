@@ -28,15 +28,15 @@ from fractions import Fraction
 
 from .errors import SemanticError
 from .setexpr import (
-    Affine,
     Cantor,
     Dense,
     Finite,
     IntervalSet,
     SetExpr,
-    Union,
+    map_affine,
     seq,
     seq2,
+    union,
 )
 from .core import Interval
 from .terms import DoubleGeoTerm, GeoTerm, PowTerm, term_fun
@@ -339,7 +339,7 @@ class _Parser:
             beta = -self._rat()
         if alpha == 0:
             raise SemanticError("affine map must be invertible (alpha != 0)")
-        return Affine(alpha, beta, inner)
+        return map_affine(inner, alpha, beta)
 
     # -- entry ---------------------------------------------------------------
 
@@ -351,18 +351,14 @@ class _Parser:
         if self.i != len(self.toks):
             tok = self.toks[self.i]
             raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        if len(parts) == 1:
-            return parts[0]
-        return Union(tuple(parts))
+        return union(*parts)
 
 
 def parse(text: str) -> SetExpr:
     """Parse an expression string into a validated, canonical SetExpr.
 
-    Affine maps are pushed into the leaves (only the cantor set keeps its
-    map, matching the grammar), so parse and render are mutually inverse on
-    the canonical class.
+    Affine maps are pushed into the leaves as they are read (only the cantor
+    set keeps its map, matching the grammar), so parse and render are
+    mutually inverse on the canonical class.
     """
-    from .setexpr import normalize_affine
-
-    return normalize_affine(_Parser(text).parse_set())
+    return _Parser(text).parse_set()

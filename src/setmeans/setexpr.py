@@ -78,7 +78,7 @@ class Dense(SetExpr):
 
     Canonical realization: the dyadic rationals strictly inside (lo, hi).
     Every implemented mean depends only on its closure and measure, so the
-    realization is observable only through enumeration order.
+    realization is observable only through membership and enumeration.
     """
 
     lo: Rat
@@ -105,6 +105,9 @@ class Affine(SetExpr):
     def __post_init__(self):
         if self.alpha == 0:
             raise SemanticError("affine map must be invertible (alpha != 0)")
+        # a canonical tree may keep this node as a leaf: store exact rationals
+        object.__setattr__(self, "alpha", rat(self.alpha))
+        object.__setattr__(self, "beta", rat(self.beta))
 
 
 @dataclass(frozen=True)
@@ -188,27 +191,36 @@ def union(*parts: SetExpr) -> SetExpr:
 
 
 def normalize_affine(s: SetExpr) -> SetExpr:
-    """Push affine maps to the leaves and flatten unions.
+    """The canonical tree of s: map_affine(s, 1, 0).
 
-    The point set is unchanged, except that a mapped dense filler is
-    re-anchored to the dyadics of the image interval (same closure and
-    measure, different enumeration order).
+    On a canonical tree this is a walk that returns s itself.
     """
-    return _push_affine(s, Fraction(1), Fraction(0))
+    return map_affine(s, Fraction(1), Fraction(0))
 
 
-def _push_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
-    if isinstance(s, Affine):
-        return _push_affine(s.inner, a * s.alpha, a * s.beta + b)
+def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
+    """The canonical tree of {a * x + b : x in s}.
+
+    Affine maps are pushed into the leaves and unions are flattened; only a
+    Cantor leaf keeps its map, as Affine(alpha, beta, Cantor()).  A mapped
+    dense filler is re-anchored to the dyadics of its image interval (same
+    closure and measure, different points).  Under the identity map a leaf
+    comes back as the same object, and so does a union whose parts all do.
+    """
+    if a == 0:
+        raise SemanticError("affine map must be invertible (alpha != 0)")
     if isinstance(s, Union):
-        parts = []
-        for p in s.parts:
-            q = _push_affine(p, a, b)
-            if isinstance(q, Union):
-                parts.extend(q.parts)
-            else:
-                parts.append(q)
-        return Union(tuple(parts))
+        parts = [map_affine(p, a, b) for p in s.parts]
+        if len(parts) > 1 and all(
+            q is p and not isinstance(q, Union) for p, q in zip(s.parts, parts)
+        ):
+            return s
+        return union(*parts)
+    if isinstance(s, Affine):
+        t = map_affine(s.inner, a * s.alpha, a * s.beta + b)
+        return s if t == s else t  # an already canonical Cantor leaf
+    if a == 1 and b == 0:
+        return s
     if isinstance(s, Finite):
         return Finite(tuple(a * x + b for x in s.points))
     if isinstance(s, Seq):
@@ -224,8 +236,6 @@ def _push_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
             lo, hi = hi, lo
         return Dense(lo, hi)
     if isinstance(s, Cantor):
-        if a == 1 and b == 0:
-            return s
         return Affine(a, b, s)
     raise TypeError(f"unknown node {s!r}")
 
@@ -268,41 +278,35 @@ def tf_value_bounds(tf: TermFun) -> tuple[Rat, Rat, bool, bool]:
 
 def bounds(s: SetExpr) -> tuple[Rat, Rat, bool, bool]:
     """Exact infimum and supremum of the point set with attainment flags."""
-    if isinstance(s, Finite):
-        if not s.points:
-            raise SemanticError("bounds of an empty set")
-        return min(s.points), max(s.points), True, True
-    if isinstance(s, Seq):
-        lo, hi, lo_att, hi_att = tf_value_bounds(s.tail)
-        return s.limit + lo, s.limit + hi, lo_att, hi_att
-    if isinstance(s, Seq2):
-        olo, ohi, olo_a, ohi_a = tf_value_bounds(s.outer)
-        ilo, ihi, ilo_a, ihi_a = tf_value_bounds(s.inner)
-        return (
-            s.limit + olo + ilo,
-            s.limit + ohi + ihi,
-            olo_a and ilo_a,
-            ohi_a and ihi_a,
-        )
-    if isinstance(s, IntervalSet):
-        return s.iv.lo, s.iv.hi, not s.iv.lo_open, not s.iv.hi_open
-    if isinstance(s, Dense):
-        return s.lo, s.hi, False, False
-    if isinstance(s, Cantor):
-        return Fraction(0), Fraction(1), True, True
-    if isinstance(s, Affine):
-        lo, hi, lo_a, hi_a = bounds(s.inner)
-        if s.alpha > 0:
-            return s.alpha * lo + s.beta, s.alpha * hi + s.beta, lo_a, hi_a
-        return s.alpha * hi + s.beta, s.alpha * lo + s.beta, hi_a, lo_a
-    if isinstance(s, Union):
-        parts = [bounds(p) for p in s.parts]
-        lo = min(p[0] for p in parts)
-        hi = max(p[1] for p in parts)
-        lo_a = any(p[2] for p in parts if p[0] == lo)
-        hi_a = any(p[3] for p in parts if p[1] == hi)
-        return lo, hi, lo_a, hi_a
-    raise TypeError(f"unknown node {s!r}")
+    parts = []
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            if not leaf.points:
+                raise SemanticError("bounds of an empty set")
+            parts.append((min(leaf.points), max(leaf.points), True, True))
+        elif isinstance(leaf, Seq):
+            lo, hi, lo_att, hi_att = tf_value_bounds(leaf.tail)
+            parts.append((leaf.limit + lo, leaf.limit + hi, lo_att, hi_att))
+        elif isinstance(leaf, Seq2):
+            olo, ohi, olo_a, ohi_a = tf_value_bounds(leaf.outer)
+            ilo, ihi, ilo_a, ihi_a = tf_value_bounds(leaf.inner)
+            lo, hi = leaf.limit + olo + ilo, leaf.limit + ohi + ihi
+            parts.append((lo, hi, olo_a and ilo_a, ohi_a and ihi_a))
+        elif isinstance(leaf, IntervalSet):
+            iv = leaf.iv
+            parts.append((iv.lo, iv.hi, not iv.lo_open, not iv.hi_open))
+        elif isinstance(leaf, Dense):
+            parts.append((leaf.lo, leaf.hi, False, False))
+        elif (cm := cantor_map(leaf)) is not None:
+            ends = (cm[1], cm[0] + cm[1])
+            parts.append((min(ends), max(ends), True, True))
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+    lo = min(p[0] for p in parts)
+    hi = max(p[1] for p in parts)
+    lo_a = any(p[2] for p in parts if p[0] == lo)
+    hi_a = any(p[3] for p in parts if p[1] == hi)
+    return lo, hi, lo_a, hi_a
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +314,19 @@ def bounds(s: SetExpr) -> tuple[Rat, Rat, bool, bool]:
 
 
 def has_uncountable_leaf(s: SetExpr) -> bool:
-    if isinstance(s, IntervalSet):
-        return not s.iv.is_point()
-    if isinstance(s, Cantor):
-        return True
-    if isinstance(s, Affine):
-        return has_uncountable_leaf(s.inner)
-    if isinstance(s, Union):
-        return any(has_uncountable_leaf(p) for p in s.parts)
-    return False
+    return any(
+        (isinstance(leaf, IntervalSet) and not leaf.iv.is_point())
+        or cantor_map(leaf) is not None
+        for leaf in leaves(s)
+    )
 
 
 def is_infinite(s: SetExpr) -> bool:
-    if isinstance(s, Finite):
-        return False
-    if isinstance(s, IntervalSet):
-        return not s.iv.is_point()
-    if isinstance(s, Affine):
-        return is_infinite(s.inner)
-    if isinstance(s, Union):
-        return any(is_infinite(p) for p in s.parts)
-    return True
+    return any(
+        not isinstance(leaf, Finite)
+        and not (isinstance(leaf, IntervalSet) and leaf.iv.is_point())
+        for leaf in leaves(s)
+    )
 
 
 def is_countably_infinite(s: SetExpr) -> bool:
@@ -380,23 +376,24 @@ def _seq_value_index(limit: Rat, tf: TermFun, x: Rat) -> int | None:
 
 def contains_point(s: SetExpr, x: Rat) -> bool:
     """Exact membership of a rational point."""
-    if isinstance(s, Finite):
-        return x in s.points
-    if isinstance(s, Seq):
-        return _seq_value_index(s.limit, s.tail, x) is not None
-    if isinstance(s, Seq2):
-        return _seq2_contains(s, x)
-    if isinstance(s, IntervalSet):
-        return s.iv.contains(x)
-    if isinstance(s, Dense):
-        return _dyadic_in(s.lo, s.hi, x)
-    if isinstance(s, Cantor):
-        return _cantor_contains(x)
-    if isinstance(s, Affine):
-        return contains_point(s.inner, (x - s.beta) / s.alpha)
-    if isinstance(s, Union):
-        return any(contains_point(p, x) for p in s.parts)
-    raise TypeError(f"unknown node {s!r}")
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            hit = x in leaf.points
+        elif isinstance(leaf, Seq):
+            hit = _seq_value_index(leaf.limit, leaf.tail, x) is not None
+        elif isinstance(leaf, Seq2):
+            hit = _seq2_contains(leaf, x)
+        elif isinstance(leaf, IntervalSet):
+            hit = leaf.iv.contains(x)
+        elif isinstance(leaf, Dense):
+            hit = _dyadic_in(leaf.lo, leaf.hi, x)
+        elif (cm := cantor_map(leaf)) is not None:
+            hit = _cantor_contains((x - cm[1]) / cm[0])
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+        if hit:
+            return True
+    return False
 
 
 def _seq2_contains(s: Seq2, x: Rat) -> bool:
@@ -431,10 +428,6 @@ def _seq2_contains(s: Seq2, x: Rat) -> bool:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _gen_finite(s: Finite):
-    yield from s.points
 
 
 def _gen_seq(s: Seq):
@@ -483,28 +476,27 @@ def _gen_union(parts):
         gens = nxt
 
 
-def _gen_affine(s: Affine):
-    for v in point_generator(s.inner):
-        yield s.alpha * v + s.beta
-
-
 def point_generator(s: SetExpr):
-    """Raw canonical generator; may repeat values across union parts."""
-    if isinstance(s, Finite):
-        return _gen_finite(s)
-    if isinstance(s, Seq):
-        return _gen_seq(s)
-    if isinstance(s, Seq2):
-        return _gen_seq2(s)
-    if isinstance(s, Dense):
-        return _gen_dense(s)
-    if isinstance(s, Affine):
-        return _gen_affine(s)
-    if isinstance(s, Union):
-        return _gen_union([point_generator(p) for p in s.parts])
-    if isinstance(s, (IntervalSet, Cantor)):
-        raise Uncountable("cannot enumerate a set with an uncountable leaf")
-    raise TypeError(f"unknown node {s!r}")
+    """Raw canonical generator, round-robin over the leaves of s.
+
+    A mapped dense filler yields the dyadics of its image interval.  Values
+    may repeat across leaves.
+    """
+    gens = []
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            gens.append(iter(leaf.points))
+        elif isinstance(leaf, Seq):
+            gens.append(_gen_seq(leaf))
+        elif isinstance(leaf, Seq2):
+            gens.append(_gen_seq2(leaf))
+        elif isinstance(leaf, Dense):
+            gens.append(_gen_dense(leaf))
+        elif isinstance(leaf, IntervalSet) or cantor_map(leaf) is not None:
+            raise Uncountable("cannot enumerate a set with an uncountable leaf")
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+    return gens[0] if len(gens) == 1 else _gen_union(gens)
 
 
 def enumerate_points(s: SetExpr, budget: int) -> list[Rat]:
@@ -574,37 +566,41 @@ def _fmt_termfun(limit: Rat, tfs: list[tuple[TermFun, str]]) -> str:
 
 
 def render(s: SetExpr) -> str:
-    """Emit the expression grammar; parse(render(s)) reproduces the AST."""
-    if isinstance(s, Finite):
-        return "{" + ", ".join(_fmt_rat(p) for p in s.points) + "}"
-    if isinstance(s, Seq):
-        start = s.tail.start
-        base = _fmt_termfun(s.limit, [(s.tail, "n")])
-        return base if start == 1 else f"{base}[n>={start}]"
-    if isinstance(s, Seq2):
-        base = _fmt_termfun(s.limit, [(s.outer, "n"), (s.inner, "k")])
-        marks = ""
-        if s.outer.start != 1:
-            marks += f"[n>={s.outer.start}]"
-        if s.inner.start != 1:
-            marks += f"[k>={s.inner.start}]"
-        return base + marks
-    if isinstance(s, IntervalSet):
-        lb = "(" if s.iv.lo_open else "["
-        rb = ")" if s.iv.hi_open else "]"
-        return f"{lb}{_fmt_rat(s.iv.lo)}, {_fmt_rat(s.iv.hi)}{rb}"
-    if isinstance(s, Dense):
-        return f"Q({_fmt_rat(s.lo)}, {_fmt_rat(s.hi)})"
-    if isinstance(s, Cantor):
-        return "C"
-    if isinstance(s, Affine):
-        inner = render(s.inner)
-        head = f"{_fmt_rat(s.alpha)}*{inner}"
-        if s.beta > 0:
-            return f"{head} + {_fmt_rat(s.beta)}"
-        if s.beta < 0:
-            return f"{head} - {_fmt_rat(-s.beta)}"
-        return head
-    if isinstance(s, Union):
-        return " U ".join(render(p) for p in s.parts)
-    raise TypeError(f"unknown node {s!r}")
+    """Emit the expression grammar for the canonical form of s.
+
+    Each leaf of leaves(s) renders as one union term, so
+    parse(render(s)) == normalize_affine(s) for every nonempty s.
+    """
+    terms = []
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            text = "{" + ", ".join(_fmt_rat(p) for p in leaf.points) + "}"
+        elif isinstance(leaf, Seq):
+            start = leaf.tail.start
+            text = _fmt_termfun(leaf.limit, [(leaf.tail, "n")])
+            if start != 1:
+                text += f"[n>={start}]"
+        elif isinstance(leaf, Seq2):
+            text = _fmt_termfun(leaf.limit, [(leaf.outer, "n"), (leaf.inner, "k")])
+            if leaf.outer.start != 1:
+                text += f"[n>={leaf.outer.start}]"
+            if leaf.inner.start != 1:
+                text += f"[k>={leaf.inner.start}]"
+        elif isinstance(leaf, IntervalSet):
+            iv = leaf.iv
+            lb = "(" if iv.lo_open else "["
+            rb = ")" if iv.hi_open else "]"
+            text = f"{lb}{_fmt_rat(iv.lo)}, {_fmt_rat(iv.hi)}{rb}"
+        elif isinstance(leaf, Dense):
+            text = f"Q({_fmt_rat(leaf.lo)}, {_fmt_rat(leaf.hi)})"
+        elif (cm := cantor_map(leaf)) is not None:
+            alpha, beta = cm
+            text = "C" if alpha == 1 and beta == 0 else f"{_fmt_rat(alpha)}*C"
+            if beta > 0:
+                text += f" + {_fmt_rat(beta)}"
+            elif beta < 0:
+                text += f" - {_fmt_rat(-beta)}"
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+        terms.append(text)
+    return " U ".join(terms)

@@ -30,7 +30,6 @@ from .setexpr import (
     Seq,
     Seq2,
     SetExpr,
-    Union,
     _seq_value_index,
     bounds,
     cantor_map,
@@ -38,6 +37,7 @@ from .setexpr import (
     has_uncountable_leaf,
     is_infinite,
     leaves,
+    map_affine,
     normalize_affine,
     tf_value_bounds,
     union,
@@ -71,13 +71,7 @@ def _tail_index(pred, lo: int) -> int:
 
 
 def is_empty_expr(s: SetExpr) -> bool:
-    if isinstance(s, Finite):
-        return not s.points
-    if isinstance(s, Affine):
-        return is_empty_expr(s.inner)
-    if isinstance(s, Union):
-        return all(is_empty_expr(p) for p in s.parts)
-    return False
+    return all(isinstance(leaf, Finite) and not leaf.points for leaf in leaves(s))
 
 
 def _drop_empty(parts) -> SetExpr:
@@ -92,53 +86,54 @@ def _drop_empty(parts) -> SetExpr:
 
 
 def derived_set(s: SetExpr) -> SetExpr:
-    """The set of accumulation points, within the same algebra."""
-    if isinstance(s, Finite):
-        return EMPTY
-    if isinstance(s, Seq):
-        return Finite((s.limit,))
-    if isinstance(s, Seq2):
-        fams = [Seq(s.limit, s.outer)]
-        if s.inner != s.outer:
-            fams.append(Seq(s.limit, s.inner))
-        return Union(tuple(fams + [Finite((s.limit,))]))
-    if isinstance(s, IntervalSet):
-        if s.iv.is_point():
-            return EMPTY
-        return IntervalSet(Interval(s.iv.lo, s.iv.hi))
-    if isinstance(s, Dense):
-        return IntervalSet(Interval(s.lo, s.hi))
-    if isinstance(s, Cantor):
-        return s
-    if isinstance(s, Affine):
-        inner = derived_set(s.inner)
-        if is_empty_expr(inner):
-            return EMPTY
-        return normalize_affine(Affine(s.alpha, s.beta, inner))
-    if isinstance(s, Union):
-        return _drop_empty([derived_set(p) for p in s.parts])
-    raise TypeError(f"unknown node {s!r}")
+    """The set of accumulation points, within the same algebra.
+
+    The result is flat and canonical.
+    """
+    parts: list[SetExpr] = []
+    for leaf in leaves(s):
+        if isinstance(leaf, Finite):
+            continue
+        if isinstance(leaf, Seq):
+            parts.append(Finite((leaf.limit,)))
+        elif isinstance(leaf, Seq2):
+            parts.append(Seq(leaf.limit, leaf.outer))
+            if leaf.inner != leaf.outer:
+                parts.append(Seq(leaf.limit, leaf.inner))
+            parts.append(Finite((leaf.limit,)))
+        elif isinstance(leaf, IntervalSet):
+            if not leaf.iv.is_point():
+                parts.append(IntervalSet(Interval(leaf.iv.lo, leaf.iv.hi)))
+        elif isinstance(leaf, Dense):
+            parts.append(IntervalSet(Interval(leaf.lo, leaf.hi)))
+        elif cantor_map(leaf) is not None:
+            parts.append(leaf)
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+    return union(*parts) if parts else EMPTY
 
 
 def closure(s: SetExpr) -> SetExpr:
-    """A set expression whose point set is the closure of s."""
-    if isinstance(s, Finite):
-        return s
-    if isinstance(s, Seq):
-        return Union((Finite((s.limit,)), s))
-    if isinstance(s, Seq2):
-        return _drop_empty([s, derived_set(s)])
-    if isinstance(s, IntervalSet):
-        return IntervalSet(Interval(s.iv.lo, s.iv.hi))
-    if isinstance(s, Dense):
-        return IntervalSet(Interval(s.lo, s.hi))
-    if isinstance(s, Cantor):
-        return s
-    if isinstance(s, Affine):
-        return Affine(s.alpha, s.beta, closure(s.inner))
-    if isinstance(s, Union):
-        return Union(tuple(closure(p) for p in s.parts))
-    raise TypeError(f"unknown node {s!r}")
+    """A set expression whose point set is the closure of s.
+
+    The result is flat and canonical: each leaf of s contributes its own
+    closure's leaves.
+    """
+    parts: list[SetExpr] = []
+    for leaf in leaves(s):
+        if isinstance(leaf, Seq):
+            parts += [Finite((leaf.limit,)), leaf]
+        elif isinstance(leaf, Seq2):
+            parts += [leaf, derived_set(leaf)]
+        elif isinstance(leaf, IntervalSet):
+            parts.append(IntervalSet(Interval(leaf.iv.lo, leaf.iv.hi)))
+        elif isinstance(leaf, Dense):
+            parts.append(IntervalSet(Interval(leaf.lo, leaf.hi)))
+        elif isinstance(leaf, Finite) or cantor_map(leaf) is not None:
+            parts.append(leaf)
+        else:
+            raise TypeError(f"unknown node {leaf!r}")
+    return union(*parts)
 
 
 def acc_chain(s: SetExpr, max_depth: int = 16) -> tuple[list[SetExpr], bool]:
@@ -223,12 +218,12 @@ def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
 
 def split_at(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
     """(H intersect (-inf, y], H intersect [y, +inf)) in the same algebra."""
-    s = normalize_affine(s)
-    below, above = _split(s, y)
-    return below, above
+    below, above = zip(*(_split(leaf, y) for leaf in leaves(s)))
+    return _drop_empty(below), _drop_empty(above)
 
 
 def _split(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
+    """split_at for one canonical leaf."""
     if isinstance(s, Finite):
         return (
             Finite(tuple(p for p in s.points if p <= y)),
@@ -252,30 +247,18 @@ def _split(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
         below = _drop_empty([Dense(s.lo, y)] + at)
         above = _drop_empty([Dense(y, s.hi)] + at)
         return below, above
-    if isinstance(s, Cantor):
-        return _split_cantor(y)
     if isinstance(s, Seq):
         return _split_seq(s, y)
     if isinstance(s, Seq2):
         if tf_eventual_sign(s.outer) < 0:
-            neg = normalize_affine(Affine(Fraction(-1), Fraction(0), s))
-            b, a = _split(neg, -y)
-            flip = lambda t: normalize_affine(Affine(Fraction(-1), Fraction(0), t))
-            return flip(a), flip(b)
+            b, a = _split(map_affine(s, -1, 0), -y)
+            return map_affine(a, -1, 0), map_affine(b, -1, 0)
         return _split_seq2(s, y)
-    if isinstance(s, Union):
-        parts = [_split(p, y) for p in s.parts]
-        return (
-            _drop_empty([p[0] for p in parts]),
-            _drop_empty([p[1] for p in parts]),
-        )
-    if isinstance(s, Affine):  # only Cantor stays wrapped after normalization
-        y0 = (y - s.beta) / s.alpha
-        b, a = _split_cantor(y0)
-        wrap = lambda t: normalize_affine(Affine(s.alpha, s.beta, t))
-        if s.alpha > 0:
-            return wrap(b), wrap(a)
-        return wrap(a), wrap(b)
+    if (cm := cantor_map(s)) is not None:
+        alpha, beta = cm
+        b, a = _split_cantor((y - beta) / alpha)
+        b, a = map_affine(b, alpha, beta), map_affine(a, alpha, beta)
+        return (b, a) if alpha > 0 else (a, b)
     raise TypeError(f"unknown node {s!r}")
 
 
@@ -297,13 +280,11 @@ def _split_cantor(y: Rat, depth: int = 0) -> tuple[SetExpr, SetExpr]:
         return _drop_empty([left] + at), _drop_empty([right] + at)
     if y < third:
         b, a = _split_cantor(3 * y, depth + 1)
-        scale = lambda t: normalize_affine(Affine(third, Fraction(0), t))
-        right = Affine(third, Fraction(2, 3), c)
-        return scale(b), _drop_empty([scale(a), right])
+        b, a = map_affine(b, third, 0), map_affine(a, third, 0)
+        return b, _drop_empty([a, Affine(third, Fraction(2, 3), c)])
     b, a = _split_cantor(3 * y - 2, depth + 1)
-    scale = lambda t: normalize_affine(Affine(third, Fraction(2, 3), t))
-    left = Affine(third, Fraction(0), c)
-    return _drop_empty([left, scale(b)]), scale(a)
+    b, a = map_affine(b, third, Fraction(2, 3)), map_affine(a, third, Fraction(2, 3))
+    return _drop_empty([Affine(third, Fraction(0), c), b]), a
 
 
 _SPLIT_CAP = 100_000
@@ -345,11 +326,8 @@ def _split_seq(s: Seq, y: Rat) -> tuple[SetExpr, SetExpr]:
             Finite(tuple(above_pts)),
         )
     # negative tail: mirror through reflection
-    neg = normalize_affine(Affine(Fraction(-1), Fraction(0), s))
-    assert isinstance(neg, Seq)
-    b, a = _split_seq(neg, -y)
-    flip = lambda u: normalize_affine(Affine(Fraction(-1), Fraction(0), u))
-    return flip(a), flip(b)
+    b, a = _split_seq(map_affine(s, -1, 0), -y)
+    return map_affine(a, -1, 0), map_affine(b, -1, 0)
 
 
 def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from setmeans import (
+    Affine,
     Degenerate,
     MergeParams,
     OutOfRange,
@@ -21,7 +22,7 @@ from setmeans import (
     PowTerm,
     GeoTerm,
 )
-from setmeans.setexpr import Seq
+from setmeans.setexpr import Dense, Seq, contains_point, union
 
 H1 = parse("{1/n} U {1 + 1/n}")
 L = parse("{1/n} U {2 + 1/2^n}")
@@ -245,3 +246,12 @@ def test_enumerate_divergent_h1():
             crossings += 1
             below = False
     assert crossings >= 8
+
+
+def test_mapped_dense_filler_stream_stays_in_the_set():
+    # the stream reads 3*Q(0,1) as the dyadics of (0, 3); so must membership
+    s = union(Affine(3, 0, Dense(0, 1)), parse("{1/n}"))
+    stream = enumerate_with_mean(s, F(1, 2))
+    exact = [stream.pull()[1] for _ in range(3000)]
+    outside = [v for v in exact if v is not None and not contains_point(s, v)]
+    assert outside == []
