@@ -34,8 +34,10 @@ from .setexpr import (
 from .terms import (
     TermFun,
     tf_abs_below_index,
+    tf_abs_upper,
     tf_add,
     tf_monotone_index,
+    tf_single_pow,
     tf_value,
     tf_value_float,
     tf_value_parts,
@@ -132,8 +134,6 @@ def _exact_if_small(x: Fraction) -> Fraction | None:
 
 
 def _seq_iter(limit: Rat, tf: TermFun, skip_indices: frozenset[int]):
-    from .terms import tf_single_pow
-
     pw = tf_single_pow(tf)
     n = tf.start
     if pw is not None:
@@ -535,8 +535,6 @@ def _seq_collision_indices(dst: Seq, src: Seq) -> set[int]:
 
     Both value sets accumulate only at their limits, so when the limits
     differ the collision set is finite and reachable by bounded walks."""
-    from .terms import tf_abs_upper
-
     out: set[int] = set()
     m_src = tf_monotone_index(src.tail)
     for n in range(src.tail.start, m_src + 1):

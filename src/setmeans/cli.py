@@ -31,7 +31,7 @@ from .means import (
 )
 from .measure import avg_set, ms_hf
 from .parser import ParseError, parse
-from .setexpr import bounds, enumerate_points, map_affine, render
+from .setexpr import bounds, enumerate_points, has_uncountable_leaf, map_affine, render
 from .topology import (
     Ideal,
     acc_chain,
@@ -260,8 +260,6 @@ def _cmd_check(args) -> int:
         y = (lo + hi) / 2
         try:
             below, above = split_at(s, y)
-            from .setexpr import has_uncountable_leaf
-
             if not has_uncountable_leaf(s):
                 orig = set(enumerate_points(s, 200))
                 got = set(enumerate_points(below, 400)) | set(

@@ -77,6 +77,15 @@ class Interval:
             return Interval(self.lo * a, self.hi * a, self.lo_open, self.hi_open)
         return Interval(self.hi * a, self.lo * a, self.hi_open, self.lo_open)
 
+    def __add__(self, other: "Interval") -> "Interval":
+        """The Minkowski sum {x + y}: an end is open when either one is."""
+        return Interval(
+            self.lo + other.lo,
+            self.hi + other.hi,
+            self.lo_open or other.lo_open,
+            self.hi_open or other.hi_open,
+        )
+
     def __repr__(self):
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"

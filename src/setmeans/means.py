@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Rat, arithmetic_mean, avg_iu
+from .core import Interval, Rat, arithmetic_mean, avg_iu
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -22,7 +22,12 @@ from .errors import (
     SemanticError,
     UndefinedMean,
 )
-from .measure import _positive_intervals, cantor_neighborhood_stats, neighborhood
+from .measure import (
+    _cantor_pieces,
+    _positive_intervals,
+    cantor_neighborhood_stats,
+    neighborhood,
+)
 from .setexpr import (
     Dense,
     Finite,
@@ -38,13 +43,12 @@ from .setexpr import (
 )
 from .terms import (
     TermFun,
-    tf_eventual_sign,
-    tf_monotone_index,
-    tf_resolution_index,
+    tf_chain,
+    tf_cmp,
     tf_single_pow,
     tf_value,
     tf_value_float,
-    tf_cmp,
+    tf_value_parts,
 )
 from .topology import (
     Ideal,
@@ -289,6 +293,8 @@ def mean_acc(s: SetExpr, max_depth: int = 32) -> MeanOutcome:
 def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000) -> MeanOutcome:
     if sched is None:
         sched = delta_schedule()
+    if is_empty_expr(s):
+        raise UndefinedMean("empty set")
     if not is_infinite(s):
         return exact_outcome(arithmetic_mean(_finite_points(s)))
 
@@ -313,17 +319,16 @@ _EXACT_NBR_BUDGET = 3000
 def _seq_float_parts(limit, tf, delta, out):
     """Append ascending (lo, hi) float parts for one sequence leaf."""
     d = float(delta)
-    r = tf_resolution_index(tf, 2 * delta)
-    m = tf_monotone_index(tf)
+    idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
-    x_r = lf + tf_value_float(tf, r)
+    x_r = lf + tf_value_float(tf, idx.stop)
     cover = (min(lf, x_r) - d, max(lf, x_r) + d)
     pieces = [cover]
     pw = tf_single_pow(tf)
     if pw is not None:
         c, p = float(pw.c), pw.p
         pieces.extend(
-            (lf + c / n**p - d, lf + c / n**p + d) for n in range(tf.start, r)
+            (lf + c / n**p - d, lf + c / n**p + d) for n in idx
         )
     else:
         pieces.extend(
@@ -331,7 +336,7 @@ def _seq_float_parts(limit, tf, delta, out):
                 lf + tf_value_float(tf, n) - d,
                 lf + tf_value_float(tf, n) + d,
             )
-            for n in range(tf.start, r)
+            for n in idx
         )
     pieces.sort()
     out.append(pieces)
@@ -441,19 +446,18 @@ def _cell_index(x: Rat, a: Rat, b: Rat, n: int) -> int:
     return ((x - a) * n / (b - a)).__floor__()
 
 
-def _cell_side(x: Rat, a: Rat, b: Rat, n: int, side: int) -> int:
-    """Cell holding points just above (side>0) or below (side<0) x."""
-    q = (x - a) * n / (b - a)
-    i = q.__floor__()
-    if side < 0 and q == i:
-        return i - 1
-    return i
+def _iv_cells(iv: Interval, a: Rat, b: Rat, n: int) -> tuple[int, int]:
+    """The cells from cell(lo) to cell(hi) that the interval meets; an open
+    upper end on a cell boundary leaves that cell out."""
+    q = (iv.hi - a) * n / (b - a)
+    i1 = q.__floor__()
+    if iv.hi_open and q == i1:
+        i1 -= 1
+    return _cell_index(iv.lo, a, b, n), i1
 
 
 def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int) -> int:
     """Exact cell of limit + tf(idx), resolving capped tiny tails."""
-    from .terms import tf_value_parts
-
     main, tinies = tf_value_parts(tf, idx)
     w = (b - a) / n
     q = (limit + main - a) / w
@@ -477,83 +481,62 @@ def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int
 
 
 def _seq_cell_ranges(limit: Rat, tf: TermFun, a: Rat, b: Rat, n: int, budget: int, out):
-    w = (b - a) / n
-    r = tf_resolution_index(tf, w)
-    if r - tf.start > budget:
+    resolved, hull = tf_chain(tf, (b - a) / n)
+    if len(resolved) > budget:
         raise BudgetExceeded("grid needs too many resolved sequence points")
-    sign = tf_eventual_sign(tf)
     pw = tf_single_pow(tf)
-    if pw is not None and r - tf.start > 64:
+    if pw is not None and len(resolved) > 64:
         # integer fast path: floor(((limit + c/n^p) - a) * N / (b - a))
         pa, qa = (limit - a).numerator, (limit - a).denominator
         pc, qc = pw.c.numerator, pw.c.denominator
         ps, qs = (b - a).numerator, (b - a).denominator
         p = pw.p
-        for idx in range(tf.start, r):
+        for idx in resolved:
             npow = idx**p
             num = (pa * qc * npow + pc * qa) * n * qs
             den = qa * qc * npow * ps
             i = num // den
             out.append((i, i))
     else:
-        for idx in range(tf.start, r):
+        for idx in resolved:
             i = _cell_of_seq_point(tf, idx, limit, a, b, n)
             out.append((i, i))
-    x_r = limit + tf_value(tf, r)
-    side_cell = _cell_side(limit, a, b, n, 1 if sign > 0 else -1)
-    r_cell = _cell_index(x_r, a, b, n)
-    out.append((min(side_cell, r_cell), max(side_cell, r_cell)))
+    out.append(_iv_cells(hull.shift(limit), a, b, n))
 
 
 def _seq2_cell_ranges(s: Seq2, a: Rat, b: Rat, n: int, budget: int, out):
     w = (b - a) / n
     f, g = s.outer, s.inner
-    r_out = tf_resolution_index(f, w)
-    r_in = tf_resolution_index(g, w)
-    if (r_out - f.start) * max(r_in - g.start, 1) > budget:
+    resolved_f, hull_f = tf_chain(f, w)
+    resolved_g, hull_g = tf_chain(g, w)
+    if len(resolved_f) * max(len(resolved_g), 1) > budget:
         raise BudgetExceeded("grid needs too many resolved clusters")
-    sign = tf_eventual_sign(f)
-    for idx in range(f.start, r_out):
+    for idx in resolved_f:
         _seq_cell_ranges(s.limit + tf_value(f, idx), g, a, b, n, budget, out)
-    x_r = s.limit + tf_value(f, r_out)
-    side = 1 if sign > 0 else -1
-    # each resolved inner offset smears into a contiguous block as the
-    # cluster positions chain toward the limit
-    for k in range(g.start, r_in):
-        gv = tf_value(g, k)
-        c1 = _cell_side(s.limit + gv, a, b, n, side)
-        c2 = _cell_index(x_r + gv, a, b, n)
-        out.append((min(c1, c2), max(c1, c2)))
-    # the joint tail block: outer tail x inner tail
-    g_r = tf_value(g, r_in)
-    c1 = _cell_side(s.limit, a, b, n, side)
-    c2 = _cell_index(x_r + g_r, a, b, n)
-    c3 = _cell_side(x_r, a, b, n, -side)
-    out.append((min(c1, c2, c3), max(c1, c2, c3)))
+    # each resolved inner offset smears across the chained outer tail, and
+    # the two chained tails together fill the sum of their hulls
+    hull_f = hull_f.shift(s.limit)
+    for k in resolved_g:
+        out.append(_iv_cells(hull_f.shift(tf_value(g, k)), a, b, n))
+    out.append(_iv_cells(hull_f + hull_g, a, b, n))
 
 
 def _cantor_cell_ranges(alpha: Rat, beta: Rat, a: Rat, b: Rat, n: int, budget: int, out):
+    # the pieces of the first construction level that fit in one cell
     w = (b - a) / n
-    count = 0
-    stack = [(Fraction(0), Fraction(1))]
-    while stack:
-        lo0, hi0 = stack.pop()
-        img = sorted((alpha * lo0 + beta, alpha * hi0 + beta))
-        if img[1] - img[0] <= w:
-            out.append(
-                (_cell_index(img[0], a, b, n), _cell_index(img[1], a, b, n))
-            )
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("grid needs too many cantor pieces")
-            continue
-        third = (hi0 - lo0) / 3
-        stack.append((lo0, lo0 + third))
-        stack.append((hi0 - third, hi0))
+    level = 0
+    while abs(alpha) > w * 3**level:
+        level += 1
+    out.extend(_iv_cells(p, a, b, n) for p in _cantor_pieces(alpha, beta, level, budget))
 
 
 def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000) -> CellCover:
-    """Exact occupied-cell ranges of the n-cell grid over [a, b)."""
+    """Exact occupied-cell ranges of the n-cell grid over [a, b).
+
+    Each leaf is read at the cell width as points plus hull intervals (the
+    chained tail of a sequence, the construction pieces of a cantor set,
+    an interval or a dense filler), and a hull occupies every cell it meets.
+    """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
     a, b = base
@@ -576,25 +559,9 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
         elif isinstance(leaf, Seq2):
             _seq2_cell_ranges(leaf, a, b, n, budget, ranges)
         elif isinstance(leaf, IntervalSet):
-            iv = leaf.iv
-            i0 = _cell_index(iv.lo, a, b, n)
-            if iv.is_point():
-                ranges.append((i0, i0))
-            else:
-                q = (iv.hi - a) * n / (b - a)
-                i1 = q.__floor__()
-                # an upper endpoint exactly on a boundary occupies its cell
-                # only when the endpoint belongs to the set
-                if q == i1 and iv.hi_open:
-                    i1 -= 1
-                ranges.append((i0, max(i0, i1)))
+            ranges.append(_iv_cells(leaf.iv, a, b, n))
         elif isinstance(leaf, Dense):
-            i0 = _cell_index(leaf.lo, a, b, n)
-            q = (leaf.hi - a) * n / (b - a)
-            i1 = q.__floor__()
-            if q == i1:
-                i1 -= 1  # open upper end contributes nothing at the boundary
-            ranges.append((i0, i1))
+            ranges.append(_iv_cells(Interval(leaf.lo, leaf.hi, True, True), a, b, n))
         else:
             raise TypeError(f"unknown leaf {leaf!r}")
         if len(ranges) > budget:

@@ -26,7 +26,7 @@ from .setexpr import (
     cantor_map,
     leaves,
 )
-from .terms import tf_resolution_index, tf_value
+from .terms import tf_chain, tf_value
 
 _DEFAULT_PART_BUDGET = 200_000
 
@@ -35,50 +35,36 @@ def _ball(x: Rat, delta: Rat) -> Interval:
     return Interval(x - delta, x + delta, True, True)
 
 
+def _widen(iv: Interval, delta: Rat) -> Interval:
+    return Interval(iv.lo - delta, iv.hi + delta, True, True)
+
+
 def _seq_parts(limit: Rat, tf, delta: Rat, budget: int) -> list[Interval]:
-    """Open neighbourhood of {limit + tf(n)}: resolved points plus one
-    interval covering the chained tail."""
-    r = tf_resolution_index(tf, 2 * delta)
-    if r - tf.start > budget:
+    """Open neighbourhood of {limit + tf(n)}: balls around the resolved
+    points plus the widened hull of the chained tail."""
+    idx, hull = tf_chain(tf, 2 * delta)
+    if len(idx) > budget:
         raise BudgetExceeded("neighbourhood needs too many resolved points")
-    parts = [_ball(limit + tf_value(tf, n), delta) for n in range(tf.start, r)]
-    x_r = limit + tf_value(tf, r)
-    lo = min(limit, x_r) - delta
-    hi = max(limit, x_r) + delta
-    parts.append(Interval(lo, hi, True, True))
+    parts = [_ball(limit + tf_value(tf, n), delta) for n in idx]
+    parts.append(_widen(hull.shift(limit), delta))
     return parts
 
 
 def _seq2_parts(s: Seq2, delta: Rat, budget: int) -> list[Interval]:
     inner_parts = iu_normalize(_seq_parts(Fraction(0), s.inner, delta, budget))
-    r = tf_resolution_index(s.outer, 2 * delta)
-    if (r - s.outer.start + 1) * len(inner_parts) > budget:
+    idx, hull = tf_chain(s.outer, 2 * delta)
+    if (len(idx) + 1) * len(inner_parts) > budget:
         raise BudgetExceeded("neighbourhood needs too many resolved clusters")
     parts: list[Interval] = []
-    for n in range(s.outer.start, r):
+    for n in idx:
         x_n = s.limit + tf_value(s.outer, n)
         parts.extend(p.shift(x_n) for p in inner_parts)
-    # beyond the resolution index consecutive cluster shifts differ by less
+    # beyond the resolved indices consecutive cluster shifts differ by less
     # than 2*delta, which is at most the width of every inner part, so the
-    # shifted copies chain into one smeared copy of the inner union
-    x_r = s.limit + tf_value(s.outer, r)
-    lo_shift, hi_shift = min(s.limit, x_r), max(s.limit, x_r)
-    for p in inner_parts:
-        parts.append(Interval(lo_shift + p.lo, hi_shift + p.hi, True, True))
+    # shifted copies chain into the inner union smeared across the hull
+    hull = hull.shift(s.limit)
+    parts.extend(p + hull for p in inner_parts)
     return parts
-
-
-def _cantor_gaps(max_level: int):
-    """Yield (lo, hi) of removed middle thirds up to the given level."""
-    stack = [(Fraction(0), Fraction(1), 1)]
-    while stack:
-        lo, hi, level = stack.pop()
-        if level > max_level:
-            continue
-        third = (hi - lo) / 3
-        yield lo + third, hi - third
-        stack.append((lo, lo + third, level + 1))
-        stack.append((hi - third, hi, level + 1))
 
 
 def _cantor_level(delta: Rat) -> int:
@@ -90,32 +76,39 @@ def _cantor_level(delta: Rat) -> int:
     return level  # gaps at levels < level survive deflation by delta
 
 
+def _cantor_pieces(alpha: Rat, beta: Rat, level: int, budget: int):
+    """The 2**level closed construction pieces of alpha*C + beta, ascending.
+
+    The ternary digits of a piece's left end in C are the binary digits of
+    its index, doubled; alpha < 0 maps C as |alpha|*(1 - C) + alpha + beta,
+    and 1 - C is C again.
+    """
+    if 2**level > budget:
+        raise BudgetExceeded("too many cantor pieces")
+    scale, shift = (alpha, beta) if alpha > 0 else (-alpha, alpha + beta)
+    step = scale / 3**level
+
+    def piece(i: int) -> Interval:
+        lo = shift + 2 * int(f"{i:b}", 3) * step
+        return Interval(lo, lo + step)
+
+    return map(piece, range(2**level))
+
+
 def _cantor_parts(alpha: Rat, beta: Rat, delta: Rat, budget: int) -> list[Interval]:
-    scale = abs(alpha)
-    d0 = delta / scale
-    lstar = _cantor_level(d0) - 1  # deepest level whose gaps are >= 2*d0
-    if lstar >= 1 and 2**lstar > budget:
-        raise BudgetExceeded("neighbourhood needs too many cantor pieces")
-    # a construction gap (u, v) with v - u >= 2*d0 leaves the closed hole
-    # [u + d0, v - d0] outside the neighbourhood (degenerate when equal)
-    holes = sorted(
-        (u + d0, v - d0) for u, v in _cantor_gaps(lstar) if v - u >= 2 * d0
-    )
-    parts = []
-    cursor = -d0
-    for u, v in holes:
-        parts.append(Interval(cursor, u, True, True))
-        cursor = v
-    parts.append(Interval(cursor, 1 + d0, True, True))
-    out = []
-    for p in parts:
-        q = p.scale(alpha).shift(beta) if alpha != 1 else p.shift(beta)
-        out.append(q)
-    return out
+    """The pieces of the deepest level whose gaps are at least 2*delta
+    wide, each widened by delta: every deeper gap is narrower, so covered."""
+    level = max(_cantor_level(delta / abs(alpha)) - 1, 0)
+    return [_widen(p, delta) for p in _cantor_pieces(alpha, beta, level, budget)]
 
 
 def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> IntervalUnion:
-    """The open delta-neighbourhood of the set, as an exact interval union."""
+    """The open delta-neighbourhood of the set, as an exact interval union.
+
+    Each leaf is read at scale 2*delta as points plus hull intervals (the
+    chained tail of a sequence, the construction pieces of a cantor set,
+    an interval), and each of those is widened by delta.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     parts: list[Interval] = []
@@ -130,9 +123,9 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
         elif isinstance(leaf, Seq2):
             parts.extend(_seq2_parts(leaf, delta, budget))
         elif isinstance(leaf, IntervalSet):
-            parts.append(Interval(leaf.iv.lo - delta, leaf.iv.hi + delta, True, True))
+            parts.append(_widen(leaf.iv, delta))
         elif isinstance(leaf, Dense):
-            parts.append(Interval(leaf.lo - delta, leaf.hi + delta, True, True))
+            parts.append(_widen(Interval(leaf.lo, leaf.hi, True, True), delta))
         else:
             raise TypeError(f"unknown leaf {leaf!r}")
         if len(parts) > budget:

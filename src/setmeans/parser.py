@@ -4,7 +4,7 @@ Grammar (UTF-8; "U" or "∪" for union):
 
     set      := term (("U" | "∪") term)*
     term     := finite | seqset | interval | dense | cantor | affine
-    finite   := "{" rat ("," rat)* "}"
+    finite   := "{" "}" | "{" rat ("," rat)* "}"
     seqset   := "{" scalar "}" start*          -- scalar uses variables n, k
     interval := "[" rat "," rat "]"
     dense    := "Q(" rat "," rat ")"
@@ -36,10 +36,10 @@ from .setexpr import (
     map_affine,
     seq,
     seq2,
-    union,
 )
 from .core import Interval
 from .terms import DoubleGeoTerm, GeoTerm, PowTerm, term_fun
+from .topology import _drop_empty
 
 
 @dataclass
@@ -253,6 +253,9 @@ class _Parser:
 
     def _braced(self) -> SetExpr:
         open_tok = self._expect("{")
+        if self._at("}"):
+            self._next()
+            return Finite(())
         limit, by_var = self._scalar_body()
         values = [limit] if not (by_var["n"] or by_var["k"]) else None
         while self._at(","):
@@ -351,7 +354,7 @@ class _Parser:
         if self.i != len(self.toks):
             tok = self.toks[self.i]
             raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        return union(*parts)
+        return _drop_empty(parts)
 
 
 def parse(text: str) -> SetExpr:

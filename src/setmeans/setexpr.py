@@ -17,6 +17,9 @@ from fractions import Fraction
 from .core import Interval, Rat, rat
 from .errors import BudgetExceeded, SemanticError, Uncountable
 from .terms import (
+    DoubleGeoTerm,
+    GeoTerm,
+    PowTerm,
     TermFun,
     tf_abs_below_index,
     tf_abs_upper,
@@ -25,6 +28,7 @@ from .terms import (
     tf_monotone_index,
     tf_scale,
     tf_value,
+    tf_value_parts,
 )
 
 _PREFIX_CAP = 200_000
@@ -431,8 +435,6 @@ def _seq2_contains(s: Seq2, x: Rat) -> bool:
 
 
 def _gen_seq(s: Seq):
-    from .terms import tf_value_parts
-
     n = s.tail.start
     while True:
         main, tinies = tf_value_parts(s.tail, n)
@@ -479,8 +481,8 @@ def _gen_union(parts):
 def point_generator(s: SetExpr):
     """Raw canonical generator, round-robin over the leaves of s.
 
-    A mapped dense filler yields the dyadics of its image interval.  Values
-    may repeat across leaves.
+    A mapped dense filler yields the dyadics of its image interval, and a
+    one-point interval its point.  Values may repeat across leaves.
     """
     gens = []
     for leaf in leaves(s):
@@ -492,6 +494,8 @@ def point_generator(s: SetExpr):
             gens.append(_gen_seq2(leaf))
         elif isinstance(leaf, Dense):
             gens.append(_gen_dense(leaf))
+        elif isinstance(leaf, IntervalSet) and leaf.iv.is_point():
+            gens.append(iter((leaf.iv.lo,)))
         elif isinstance(leaf, IntervalSet) or cantor_map(leaf) is not None:
             raise Uncountable("cannot enumerate a set with an uncountable leaf")
         else:
@@ -532,8 +536,6 @@ def _fmt_rat(x: Rat) -> str:
 
 def _fmt_term_mag(t, var: str) -> str:
     """Magnitude part of one term in the expression grammar."""
-    from .terms import DoubleGeoTerm, GeoTerm, PowTerm
-
     mag = abs(t.c)
     coeff = _fmt_rat(mag)
     if isinstance(t, PowTerm):
@@ -569,7 +571,8 @@ def render(s: SetExpr) -> str:
     """Emit the expression grammar for the canonical form of s.
 
     Each leaf of leaves(s) renders as one union term, so
-    parse(render(s)) == normalize_affine(s) for every nonempty s.
+    parse(render(s)) == normalize_affine(s) unless a union has an empty
+    part, which parse drops; the empty set renders as {}.
     """
     terms = []
     for leaf in leaves(s):

@@ -20,6 +20,8 @@ with a certified magnitude bound, and comparisons resolve it exactly.
 `first_index` is the one index search of the package: every certificate
 index here, `tf_find_value` and the tail-threshold searches of `topology`
 ask it for the first index from which an upward-closed test holds.
+`tf_chain` is the one reading of a tail at a scale eps: the means that
+shrink a radius or refine a grid take its resolved indices and its hull.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Rat
+from .core import Interval, Rat
 from .errors import SemanticError
 
 # A term is evaluated exactly while its exponent cost stays below this many
@@ -559,6 +561,21 @@ def tf_resolution_index(tf: TermFun, eps: Fraction) -> int:
         raise ValueError("resolution threshold must be positive")
     m = tf_monotone_index(tf)
     return _certified(first_index(lambda n: _gap_bound_lt(tf, n, eps), m))
+
+
+def tf_chain(tf: TermFun, eps: Fraction) -> tuple[range, Interval]:
+    """f read at scale eps: the indices [start, R) whose values stand apart,
+    and the hull of the rest, with R = tf_resolution_index(tf, eps).
+
+    From R on consecutive values differ by less than eps, so they chain into
+    the hull (0, f(R)], or [f(R), 0) for a negative tail: closed at f(R) and
+    open at the limit 0, which no value reaches.
+    """
+    r = tf_resolution_index(tf, eps)
+    v = tf_value(tf, r)
+    if v > 0:
+        return range(tf.start, r), Interval(Fraction(0), v, True, False)
+    return range(tf.start, r), Interval(v, Fraction(0), False, True)
 
 
 def tf_abs_below_index(tf: TermFun, eps: Fraction) -> int:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat
+from .core import Interval, Rat, iu_normalize, point
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -43,8 +43,13 @@ from .setexpr import (
     union,
 )
 from .terms import (
+    DoubleGeoTerm,
+    GeoTerm,
+    PowTerm,
     TermFun,
+    _term_value_float,
     first_index,
+    parts_cmp,
     tf_abs_below_index,
     tf_cmp,
     tf_eventual_sign,
@@ -53,7 +58,9 @@ from .terms import (
     tf_scale,
     tf_value,
     tf_value_float,
+    tf_value_parts,
     tf_with_start,
+    tiny_signature,
 )
 
 EMPTY = Finite(())
@@ -686,8 +693,6 @@ def _dist_to_component(comp: _AccComponent, x: Rat) -> Rat:
 
 def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
     """Yield (id, main, tinies, float value) for points that could survive."""
-    from .terms import tf_value_parts
-
     if isinstance(leaf, Finite):
         for p in leaf.points:
             yield ("f", p), p, (), float(p)
@@ -722,8 +727,6 @@ def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
 
 def _survives(main: Rat, tinies, comps, delta: Rat) -> bool:
     """Exact test: distance from the candidate to every component >= delta."""
-    from .terms import parts_cmp
-
     for c in comps:
         if c.kind == "point":
             p = c.value
@@ -744,8 +747,6 @@ def _survives(main: Rat, tinies, comps, delta: Rat) -> bool:
 
 def _iter_unique_candidates(ls, delta: Rat, budget: int):
     """All candidates across leaves, each distinct value exactly once."""
-    from .terms import tiny_signature
-
     seen: set = set()
     for leaf in ls:
         for _id, main, tinies, xf in _leaf_candidates_exact(leaf, delta, budget):
@@ -933,8 +934,6 @@ def _pow_range_sum_float(p: int, a: int, b: int) -> float:
 
 def _tf_range_sum_float(tf: TermFun, a: int, b: int) -> float:
     """sum over n in [a, b) of tf(n), in floats, via per-term closed forms."""
-    from .terms import DoubleGeoTerm, GeoTerm, PowTerm, _term_value_float
-
     if b <= a:
         return 0.0
     total = 0.0
@@ -960,8 +959,6 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
     indices hitting a finite point, and equal values between two sequence
     leaves (solved through the monotone tails, never by scanning floats).
     """
-    from .terms import tf_value_parts, tiny_signature
-
     skips: list[set] = [set() for _ in leaves]
     finite_vals: dict[Rat, int] = {}
     for i, leaf in enumerate(leaves):
@@ -1079,8 +1076,6 @@ def _closure_profile(s: SetExpr):
         pts = sorted({p for l in ls for p in l.points})
         return ("finite", pts)
     if all(isinstance(l, (Finite, IntervalSet)) for l in ls):
-        from .core import iu_normalize, point
-
         parts = []
         for l in ls:
             if isinstance(l, Finite):

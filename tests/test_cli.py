@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from setmeans import cli
 
 BASE = [sys.executable, "-m", "setmeans.cli"]
 
@@ -36,6 +37,12 @@ def test_eval_acc_undefined_exit():
     doc = json.loads(out)
     assert code == 3 and doc["status"] == "undefined"
     assert "chain" in doc["reason"]
+
+
+def test_eval_empty_set_undefined(capsys):
+    assert cli.main(["eval", "iso", "{}"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"status": "undefined", "reason": "empty set"}
 
 
 def test_meanset_axs_schema():

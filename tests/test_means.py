@@ -24,6 +24,7 @@ from setmeans import (
     parse,
     run_schedule,
     Schedule,
+    bounds,
 )
 from setmeans.means import OscillatingIsoSet
 
@@ -125,6 +126,24 @@ def test_eds_cells_examples():
     assert list(cover.indices()) == [0, 1, 2]
     cover = eds_cells(parse("Q(0,1)"), 4, (F(0), F(2)))
     assert list(cover.indices()) == [0, 1]
+
+
+def test_eds_cells_open_upper_end_on_boundary():
+    # cell i is [a + i*w, a + (i+1)*w); it meets an interval from lo to hi
+    # when it starts below hi (or at hi, when hi belongs to the set) and
+    # ends above lo.  Even grids over (0, 2) put 1 on a cell boundary.
+    base = (F(0), F(2))
+    for text in ("[0,1)", "Q(0,1)", "(0,1]", "[0,1]", "(1/3,1)", "Q(1/3,1)"):
+        s = parse(text)
+        lo, hi, _, hi_att = bounds(s)
+        for n in range(1, 40):
+            w = F(2, n)
+            brute = {
+                i
+                for i in range(n)
+                if (i * w < hi or (hi_att and i * w == hi)) and (i + 1) * w > lo
+            }
+            assert set(eds_cells(s, n, base).indices()) == brute, (text, n)
 
 
 def test_eds_cells_harmonic_tail_block():

@@ -1,11 +1,13 @@
 """Neighbourhoods, the measure average, and the half-measure median set."""
 
+from bisect import bisect_left
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
 from setmeans import (
+    Cantor,
     Interval,
     Unsupported,
     UndefinedMean,
@@ -13,6 +15,9 @@ from setmeans import (
     avg_iu,
     avg_set,
     cantor_neighborhood_stats,
+    default_base,
+    eds_cells,
+    enumerate_points,
     interval,
     iu_contains_union,
     iu_measure,
@@ -20,6 +25,7 @@ from setmeans import (
     iu_normalize,
     iu_scale,
     iu_shift,
+    map_affine,
     ms_hf,
     neighborhood,
     normalize_affine,
@@ -31,6 +37,10 @@ from setmeans.terms import tf_resolution_index, tf_value
 from gen import random_countable, random_rat
 
 L = parse("{1/n} U {2 + 1/2^n}")
+
+
+def _ball(x, delta):
+    return Interval(x - delta, x + delta, True, True)
 
 
 def test_neighborhood_finite():
@@ -141,6 +151,71 @@ def test_eds_cells_double_sequence_oracle():
         pts = enumerate_points(s, 40_000)
         brute = {((p - F(0)) / w).__floor__() for p in pts}
         assert brute == impl
+
+
+def test_negative_double_sequence_oracle():
+    s = parse("{1 - 1/n - 1/k}")
+    pts = enumerate_points(s, 40_000)
+    base = (F(-2), F(2))
+    for k in (3, 4, 6):
+        w = F(4, 2**k)
+        impl = set(eds_cells(s, 2**k, base).indices())
+        assert impl == {((p - base[0]) / w).__floor__() for p in pts}
+    near = sorted(pts[:3000])
+    for k in (3, 5, 7):
+        delta = F(1, 2**k)
+        impl = neighborhood(s, delta)
+        # the points run from -1 up to their supremum 1, which no point reaches
+        assert impl.span() == (-1 - delta, 1 + delta)
+        balls = iu_normalize([_ball(p, delta) for p in near])
+        assert iu_contains_union(impl, balls)
+        for j in range(-600, 600):
+            x = F(j, 256)
+            if not impl.contains(x):
+                i = bisect_left(near, x)
+                assert all(abs(x - p) >= delta for p in near[max(i - 1, 0) : i + 1])
+
+
+def _cantor_endpoints(alpha, beta, level):
+    """Images of the ends of the level-`level` construction pieces of C."""
+    los, width = [F(0)], F(1)
+    for _ in range(level):
+        width /= 3
+        los = [x for lo in los for x in (lo, lo + 2 * width)]
+    return [alpha * x + beta for lo in los for x in (lo, lo + width)]
+
+
+CANTOR_MAPS = [(F(1), F(0)), (F(3), F(1)), (F(-2), F(1)), (F(-1, 3), F(-1, 2)), (F(5, 7), F(0))]
+
+
+def test_neighborhood_mapped_cantor_oracle():
+    # balls around both ends of a piece narrower than 2*delta cover the whole
+    # piece, so such pieces' ends give the exact neighbourhood
+    for alpha, beta in CANTOR_MAPS:
+        s = map_affine(Cantor(), alpha, beta)
+        for k in range(1, 9):
+            delta = F(1, 2**k)
+            level = 0
+            while abs(alpha) / 3**level >= 2 * delta:
+                level += 1
+            ends = _cantor_endpoints(alpha, beta, level + 1)
+            assert neighborhood(s, delta) == iu_normalize([_ball(p, delta) for p in ends])
+
+
+def test_eds_cells_mapped_cantor_oracle():
+    # a piece no wider than a cell meets only the cells of its two ends,
+    # which belong to the set, so such pieces' ends give the occupied cells
+    for alpha, beta in CANTOR_MAPS:
+        s = map_affine(Cantor(), alpha, beta)
+        a, b = default_base(s)
+        for k in range(1, 11):
+            w = (b - a) / 2**k
+            level = 0
+            while abs(alpha) / 3**level > w:
+                level += 1
+            ends = _cantor_endpoints(alpha, beta, level + 1)
+            impl = set(eds_cells(s, 2**k, (a, b)).indices())
+            assert impl == {((p - a) / w).__floor__() for p in ends}
 
 
 def test_neighborhood_monotone_and_equivariant():

@@ -37,6 +37,8 @@ def test_parse_examples():
     assert isinstance(s.parts[0], IntervalSet) and isinstance(s.parts[1], Dense)
     s = parse("3*C + 1")
     assert s == Affine(F(3), F(1), Cantor())
+    assert parse("{}") == Finite(())
+    assert parse("{} U [0,1] U {}") == parse("[0,1]")
 
 
 def test_parse_errors_carry_positions():
@@ -102,6 +104,9 @@ def test_enumerate_examples():
     assert enumerate_points(parse("{1/n}"), 4) == [1, F(1, 2), F(1, 3), F(1, 4)]
     got = enumerate_points(parse("{1/2} U {1/n}"), 3)
     assert got == [F(1, 2), 1, F(1, 3)]
+    # a one-point interval is countable and yields its point
+    got = enumerate_points(parse("[1,1] U {1/n}"), 3)
+    assert got == [1, F(1, 2), F(1, 3)]
 
 
 def test_enumerate_injective_and_prefix_stable():

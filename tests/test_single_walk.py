@@ -1,0 +1,60 @@
+"""A sequence leaf is read at a scale in one place, `terms.tf_chain`, and
+package imports sit at the top of each module.
+
+The first guard fails when any other function of `src/setmeans` calls
+`tf_resolution_index`: such a function re-derives the split of a tail into
+resolved points and a chained hull, which it should take from `tf_chain`.
+
+The second fails when a function body imports from the package: `terms`
+imports only `core` and `errors`, so no such import breaks a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setmeans"
+
+
+def _functions():
+    """(module, function node) for every function of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, fn
+
+
+def _calls(fn, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+        for node in ast.walk(fn)
+    )
+
+
+def _imports_package(fn) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("setmeans")
+        ):
+            return True
+        if isinstance(node, ast.Import) and any(
+            a.name.startswith("setmeans") for a in node.names
+        ):
+            return True
+    return False
+
+
+def test_one_resolution_walk():
+    found = sorted(
+        {(mod, fn.name) for mod, fn in _functions() if _calls(fn, "tf_resolution_index")}
+    )
+    assert found == [("terms", "tf_chain")], found
+
+
+def test_no_function_local_package_imports():
+    found = sorted({(mod, fn.name) for mod, fn in _functions() if _imports_package(fn)})
+    assert found == [], found

@@ -10,6 +10,7 @@ from setmeans.terms import (
     cmp_pow_frac,
     tf_abs_below_index,
     tf_abs_upper,
+    tf_chain,
     tf_cmp,
     tf_eventual_sign,
     tf_find_value,
@@ -78,6 +79,23 @@ def test_resolution_index():
     geo = term_fun([GeoTerm(F(1), F(1, 2))])
     r = tf_resolution_index(geo, F(1, 2**20))
     assert abs(tf_value(geo, r) - tf_value(geo, r + 1)) < F(1, 2**20)
+
+
+def test_tf_chain_contract():
+    rng = Random(31)
+    for _ in range(80):
+        tf = random_termfun(rng, allow_dgeo=False)
+        eps = F(1, 2 ** rng.randint(2, 14))
+        idx, hull = tf_chain(tf, eps)
+        r = tf_resolution_index(tf, eps)
+        assert idx == range(tf.start, r)
+        f_r = tf_value(tf, r)
+        assert {hull.lo, hull.hi} == {F(0), f_r}
+        assert hull.contains(f_r) and not hull.contains(F(0))
+        vals = [tf_value(tf, n) for n in range(r, r + 202)]
+        for x, y in zip(vals, vals[1:]):
+            assert abs(x - y) < eps
+            assert hull.contains(x)
 
 
 def test_abs_below_index():

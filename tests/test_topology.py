@@ -10,6 +10,7 @@ from setmeans import (
     Ideal,
     InIdeal,
     NotIsolatedDense,
+    SetMeansError,
     Unsupported,
     acc_chain,
     acc_structure,
@@ -175,6 +176,25 @@ def test_split_reassembles():
         for v in got:
             assert contains_point(s, v)
         done += 1
+
+
+def test_split_parts_round_trip():
+    # cut points below, inside and above the set, so some parts are empty
+    rng = Random(67)
+    done = empty = 0
+    while done < 300:
+        s = random_bounded(rng)
+        lo, hi, _, _ = bounds(s)
+        y = lo + (hi - lo) * F(rng.randint(-2, 10), 8)
+        try:
+            parts = split_at(s, y)
+        except SetMeansError:
+            continue
+        for part in parts:
+            assert parse(render(part)) == part
+            empty += is_empty_expr(part)
+        done += 1
+    assert empty > 0
 
 
 def test_split_seq2():
