@@ -293,10 +293,11 @@ def mean_acc(s: SetExpr, max_depth: int = 32) -> MeanOutcome:
 def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000) -> MeanOutcome:
     if sched is None:
         sched = delta_schedule()
-    if is_empty_expr(s):
-        raise UndefinedMean("empty set")
     if not is_infinite(s):
-        return exact_outcome(arithmetic_mean(_finite_points(s)))
+        pts = _finite_points(s)
+        if not pts:
+            raise UndefinedMean("empty set")
+        return exact_outcome(arithmetic_mean(pts))
 
     def evaluate(delta):
         count, total = isolated_stats(s, delta, budget)

@@ -36,10 +36,10 @@ from .setexpr import (
     map_affine,
     seq,
     seq2,
+    union,
 )
 from .core import Interval
 from .terms import DoubleGeoTerm, GeoTerm, PowTerm, term_fun
-from .topology import _drop_empty
 
 
 @dataclass
@@ -354,7 +354,9 @@ class _Parser:
         if self.i != len(self.toks):
             tok = self.toks[self.i]
             raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        return _drop_empty(parts)
+        # "{}" (and any affine image of it) is the one empty term
+        kept = [p for p in parts if p != Finite(())]
+        return union(*kept) if kept else Finite(())
 
 
 def parse(text: str) -> SetExpr:

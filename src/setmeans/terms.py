@@ -569,11 +569,15 @@ def tf_chain(tf: TermFun, eps: Fraction) -> tuple[range, Interval]:
 
     From R on consecutive values differ by less than eps, so they chain into
     the hull (0, f(R)], or [f(R), 0) for a negative tail: closed at f(R) and
-    open at the limit 0, which no value reaches.
+    open at the limit 0, which no value reaches.  When the tinies dropped
+    from f(R) carry its sign, the certified bound on |f(R)| is the far end.
     """
     r = tf_resolution_index(tf, eps)
+    sign = tf_eventual_sign(tf)
     v = tf_value(tf, r)
-    if v > 0:
+    if sign * v <= 0:
+        v = sign * tf_abs_upper(tf, r)
+    if sign > 0:
         return range(tf.start, r), Interval(Fraction(0), v, True, False)
     return range(tf.start, r), Interval(v, Fraction(0), False, True)
 

@@ -32,6 +32,8 @@ from setmeans import (
     parse,
     Affine,
 )
+from setmeans.means import _lavg_eval_float
+from setmeans.setexpr import leaves
 from setmeans.terms import tf_resolution_index, tf_value
 
 from gen import random_countable, random_rat
@@ -174,6 +176,34 @@ def test_negative_double_sequence_oracle():
             if not impl.contains(x):
                 i = bisect_left(near, x)
                 assert all(abs(x - p) >= delta for p in near[max(i - 1, 0) : i + 1])
+
+
+def test_tiny_tail_oracle():
+    # from n = 2 on, (9/10)^(64^n) costs more exact bits than the terms
+    # track, so the value at the resolution index R = 2 is all symbolic
+    f1, f2 = F(9, 10) ** 64, F(9, 10) ** 4096
+    delta, n = F(1, 2**12), 2**12
+    for text, limit, sign in (
+        ("{(9/10)^(64^n)}", F(0), 1),
+        ("{1/2 - 1*(9/10)^(64^n)}", F(1, 2), -1),
+    ):
+        s = parse(text)
+        # the values from f2 on run toward the limit, which none reaches
+        near = sorted((limit, limit + sign * f2))
+        exact = iu_normalize(
+            [
+                _ball(limit + sign * f1, delta),
+                Interval(near[0] - delta, near[1] + delta, True, True),
+            ]
+        )
+        impl = neighborhood(s, delta)
+        assert iu_contains_union(impl, exact)
+        assert iu_measure(impl) - iu_measure(exact) <= f2
+        assert _lavg_eval_float(leaves(s), delta) == pytest.approx(float(avg_iu(exact)))
+        # 1/2 is a cell boundary of the grid over (0, 1); the tail of the
+        # second set lies just below it
+        cells = {((limit + sign * x) * n).__floor__() for x in (f1, f2)}
+        assert set(eds_cells(s, n, (F(0), F(1))).indices()) == cells
 
 
 def _cantor_endpoints(alpha, beta, level):

@@ -98,6 +98,25 @@ def test_tf_chain_contract():
             assert hull.contains(x)
 
 
+def test_tf_chain_tiny_tail():
+    # from n = 2 on these tails cost more exact bits than the terms track,
+    # so f(R) keeps only symbolic tinies, or a main part of the wrong sign
+    nine, half = F(9, 10), F(1, 2)
+    tails = [
+        term_fun([DoubleGeoTerm(F(1), nine, 64)]),
+        term_fun([DoubleGeoTerm(F(-1), nine, 64)]),
+        term_fun([DoubleGeoTerm(F(1), nine, 64), DoubleGeoTerm(F(-1), half, 64)]),
+    ]
+    for tf in tails:
+        idx, hull = tf_chain(tf, F(1, 2**11))
+        assert idx == range(1, 2)
+        assert not hull.contains(F(0))
+        for n in range(2, 6):
+            lo, hi = tf_cmp(tf, n, hull.lo), tf_cmp(tf, n, hull.hi)
+            assert lo > 0 or (lo == 0 and not hull.lo_open)
+            assert hi < 0 or (hi == 0 and not hull.hi_open)
+
+
 def test_abs_below_index():
     rng = Random(31)
     for _ in range(100):
