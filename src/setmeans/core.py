@@ -23,13 +23,15 @@ RatLike = Union[Fraction, int, str]
 def rat(value: RatLike, den: int | None = None) -> Rat:
     """Build an exact rational from an int, a Fraction, or a literal string.
 
-    Decimal literals convert exactly: rat("0.5") == Fraction(1, 2).
+    Decimal literals convert exactly: rat("0.5") == Fraction(1, 2).  A zero
+    denominator raises ValueError.
     """
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, Fraction):
+    if den is None and isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value) if den is None else Fraction(value, den)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True)

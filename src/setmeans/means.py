@@ -23,17 +23,16 @@ from .errors import (
     UndefinedMean,
 )
 from .measure import (
-    _cantor_pieces,
     _positive_intervals,
     cantor_neighborhood_stats,
     neighborhood,
+    read_at_scale,
 )
 from .setexpr import (
     Dense,
     Finite,
     IntervalSet,
     Seq,
-    Seq2,
     SetExpr,
     bounds,
     cantor_map,
@@ -46,7 +45,6 @@ from .terms import (
     tf_chain,
     tf_cmp,
     tf_single_pow,
-    tf_value,
     tf_value_float,
     tf_value_parts,
 )
@@ -443,10 +441,6 @@ def _merge_ranges(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple((lo, hi) for lo, hi in out)
 
 
-def _cell_index(x: Rat, a: Rat, b: Rat, n: int) -> int:
-    return ((x - a) * n / (b - a)).__floor__()
-
-
 def _iv_cells(iv: Interval, a: Rat, b: Rat, n: int) -> tuple[int, int]:
     """The cells from cell(lo) to cell(hi) that the interval meets; an open
     upper end on a cell boundary leaves that cell out."""
@@ -454,7 +448,7 @@ def _iv_cells(iv: Interval, a: Rat, b: Rat, n: int) -> tuple[int, int]:
     i1 = q.__floor__()
     if iv.hi_open and q == i1:
         i1 -= 1
-    return _cell_index(iv.lo, a, b, n), i1
+    return ((iv.lo - a) * n / (b - a)).__floor__(), i1
 
 
 def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int) -> int:
@@ -481,62 +475,37 @@ def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int
     return i
 
 
-def _seq_cell_ranges(limit: Rat, tf: TermFun, a: Rat, b: Rat, n: int, budget: int, out):
-    resolved, hull = tf_chain(tf, (b - a) / n)
-    if len(resolved) > budget:
-        raise BudgetExceeded("grid needs too many resolved sequence points")
+def _run_cells(base: Rat, tf: TermFun, idx: range, run_hull: Interval, a: Rat, b: Rat, n: int, out):
+    """Append the exact cells of the points base + tf(i), i in idx, and the
+    cells the chained hull base + run_hull meets."""
     pw = tf_single_pow(tf)
-    if pw is not None and len(resolved) > 64:
-        # integer fast path: floor(((limit + c/n^p) - a) * N / (b - a))
-        pa, qa = (limit - a).numerator, (limit - a).denominator
+    if pw is not None and len(idx) > 64:
+        # integer fast path: floor(((base + c/i^p) - a) * N / (b - a))
+        pa, qa = (base - a).numerator, (base - a).denominator
         pc, qc = pw.c.numerator, pw.c.denominator
         ps, qs = (b - a).numerator, (b - a).denominator
         p = pw.p
-        for idx in resolved:
-            npow = idx**p
-            num = (pa * qc * npow + pc * qa) * n * qs
-            den = qa * qc * npow * ps
-            i = num // den
-            out.append((i, i))
+        for i in idx:
+            ipow = i**p
+            num = (pa * qc * ipow + pc * qa) * n * qs
+            den = qa * qc * ipow * ps
+            j = num // den
+            out.append((j, j))
     else:
-        for idx in resolved:
-            i = _cell_of_seq_point(tf, idx, limit, a, b, n)
-            out.append((i, i))
-    out.append(_iv_cells(hull.shift(limit), a, b, n))
-
-
-def _seq2_cell_ranges(s: Seq2, a: Rat, b: Rat, n: int, budget: int, out):
-    w = (b - a) / n
-    f, g = s.outer, s.inner
-    resolved_f, hull_f = tf_chain(f, w)
-    resolved_g, hull_g = tf_chain(g, w)
-    if len(resolved_f) * max(len(resolved_g), 1) > budget:
-        raise BudgetExceeded("grid needs too many resolved clusters")
-    for idx in resolved_f:
-        _seq_cell_ranges(s.limit + tf_value(f, idx), g, a, b, n, budget, out)
-    # each resolved inner offset smears across the chained outer tail, and
-    # the two chained tails together fill the sum of their hulls
-    hull_f = hull_f.shift(s.limit)
-    for k in resolved_g:
-        out.append(_iv_cells(hull_f.shift(tf_value(g, k)), a, b, n))
-    out.append(_iv_cells(hull_f + hull_g, a, b, n))
-
-
-def _cantor_cell_ranges(alpha: Rat, beta: Rat, a: Rat, b: Rat, n: int, budget: int, out):
-    # the pieces of the first construction level that fit in one cell
-    w = (b - a) / n
-    level = 0
-    while abs(alpha) > w * 3**level:
-        level += 1
-    out.extend(_iv_cells(p, a, b, n) for p in _cantor_pieces(alpha, beta, level, budget))
+        for i in idx:
+            j = _cell_of_seq_point(tf, i, base, a, b, n)
+            out.append((j, j))
+    out.append(_iv_cells(run_hull.shift(base), a, b, n))
 
 
 def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000) -> CellCover:
     """Exact occupied-cell ranges of the n-cell grid over [a, b).
 
-    Each leaf is read at the cell width as points plus hull intervals (the
-    chained tail of a sequence, the construction pieces of a cantor set,
-    an interval or a dense filler), and a hull occupies every cell it meets.
+    Each leaf is read at the cell width (`read_at_scale`): a run's points
+    fall in their exact cells, and its chained hull and every other hull
+    occupy each cell they meet.  A leaf costs len(bases) * (len(idx) + 1) +
+    len(hulls) ranges, and BudgetExceeded is raised when the leaves together
+    cost more than `budget`.
     """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
@@ -548,25 +517,10 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
         raise OutOfBase("point set must lie inside [a, b)")
     ranges: list[tuple[int, int]] = []
     for leaf in leaves(s):
-        cmap = cantor_map(leaf)
-        if cmap is not None:
-            _cantor_cell_ranges(*cmap, a, b, n, budget, ranges)
-        elif isinstance(leaf, Finite):
-            for p in leaf.points:
-                i = _cell_index(p, a, b, n)
-                ranges.append((i, i))
-        elif isinstance(leaf, Seq):
-            _seq_cell_ranges(leaf.limit, leaf.tail, a, b, n, budget, ranges)
-        elif isinstance(leaf, Seq2):
-            _seq2_cell_ranges(leaf, a, b, n, budget, ranges)
-        elif isinstance(leaf, IntervalSet):
-            ranges.append(_iv_cells(leaf.iv, a, b, n))
-        elif isinstance(leaf, Dense):
-            ranges.append(_iv_cells(Interval(leaf.lo, leaf.hi, True, True), a, b, n))
-        else:
-            raise TypeError(f"unknown leaf {leaf!r}")
-        if len(ranges) > budget:
-            raise BudgetExceeded("cell range budget exhausted")
+        bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - len(ranges))
+        for x in bases:
+            _run_cells(x, tf, idx, run_hull, a, b, n, ranges)
+        ranges.extend(_iv_cells(h, a, b, n) for h in hulls)
     return CellCover(n, (a, b), _merge_ranges(ranges))
 
 

@@ -31,105 +31,108 @@ from .terms import tf_chain, tf_value
 _DEFAULT_PART_BUDGET = 200_000
 
 
-def _ball(x: Rat, delta: Rat) -> Interval:
-    return Interval(x - delta, x + delta, True, True)
-
-
 def _widen(iv: Interval, delta: Rat) -> Interval:
     return Interval(iv.lo - delta, iv.hi + delta, True, True)
 
 
-def _seq_parts(limit: Rat, tf, delta: Rat, budget: int) -> list[Interval]:
-    """Open neighbourhood of {limit + tf(n)}: balls around the resolved
-    points plus the widened hull of the chained tail."""
-    idx, hull = tf_chain(tf, 2 * delta)
-    if len(idx) > budget:
-        raise BudgetExceeded("neighbourhood needs too many resolved points")
-    parts = [_ball(limit + tf_value(tf, n), delta) for n in idx]
-    parts.append(_widen(hull.shift(limit), delta))
-    return parts
-
-
-def _seq2_parts(s: Seq2, delta: Rat, budget: int) -> list[Interval]:
-    inner_parts = iu_normalize(_seq_parts(Fraction(0), s.inner, delta, budget))
-    idx, hull = tf_chain(s.outer, 2 * delta)
-    if (len(idx) + 1) * len(inner_parts) > budget:
-        raise BudgetExceeded("neighbourhood needs too many resolved clusters")
-    parts: list[Interval] = []
-    for n in idx:
-        x_n = s.limit + tf_value(s.outer, n)
-        parts.extend(p.shift(x_n) for p in inner_parts)
-    # beyond the resolved indices consecutive cluster shifts differ by less
-    # than 2*delta, which is at most the width of every inner part, so the
-    # shifted copies chain into the inner union smeared across the hull
-    hull = hull.shift(s.limit)
-    parts.extend(p + hull for p in inner_parts)
-    return parts
-
-
-def _cantor_level(delta: Rat) -> int:
+def _cantor_depth(alpha: Rat, eps: Rat) -> int:
+    """The deepest construction level of alpha*C whose pieces are at least
+    eps wide, or 0 when the whole set is narrower."""
     level = 0
-    width = Fraction(1)
-    while width >= 2 * delta:
-        width /= 3
+    while abs(alpha) >= eps * 3 ** (level + 1):
         level += 1
-    return level  # gaps at levels < level survive deflation by delta
+    return level
 
 
-def _cantor_pieces(alpha: Rat, beta: Rat, level: int, budget: int):
+def _cantor_pieces(alpha: Rat, beta: Rat, level: int):
     """The 2**level closed construction pieces of alpha*C + beta, ascending.
 
     The ternary digits of a piece's left end in C are the binary digits of
     its index, doubled; alpha < 0 maps C as |alpha|*(1 - C) + alpha + beta,
     and 1 - C is C again.
     """
-    if 2**level > budget:
-        raise BudgetExceeded("too many cantor pieces")
     scale, shift = (alpha, beta) if alpha > 0 else (-alpha, alpha + beta)
     step = scale / 3**level
-
-    def piece(i: int) -> Interval:
-        lo = shift + 2 * int(f"{i:b}", 3) * step
-        return Interval(lo, lo + step)
-
-    return map(piece, range(2**level))
+    los = (shift + 2 * int(f"{i:b}", 3) * step for i in range(2**level))
+    return [Interval(lo, lo + step) for lo in los]
 
 
-def _cantor_parts(alpha: Rat, beta: Rat, delta: Rat, budget: int) -> list[Interval]:
-    """The pieces of the deepest level whose gaps are at least 2*delta
-    wide, each widened by delta: every deeper gap is narrower, so covered."""
-    level = max(_cantor_level(delta / abs(alpha)) - 1, 0)
-    return [_widen(p, delta) for p in _cantor_pieces(alpha, beta, level, budget)]
+def read_at_scale(leaf: SetExpr, eps: Rat, budget: int):
+    """The leaf read at scale eps: (bases, tf, idx, run_hull, hulls).
+
+    Each base b carries one run: the points b + tf(n) for n in idx, which
+    stand apart, and b + run_hull, into which the later points chain.  The
+    other points lie in `hulls`, intervals whose gaps in the set are all
+    narrower than eps: an interval or dense filler, a finite point, each
+    resolved inner offset of a double sequence smeared across the chained
+    outer tail and the sum of both chained tails, or a construction piece of
+    a cantor set at the deepest level at least eps wide.
+
+    The reading costs len(bases) * (len(idx) + 1) + len(hulls) parts, and
+    raises BudgetExceeded before it builds them when that exceeds budget.
+    """
+    cmap = cantor_map(leaf)
+    if cmap is not None:
+        level = _cantor_depth(cmap[0], eps)
+        _charge(0, 0, 2**level, budget)
+        return (), None, range(0), None, _cantor_pieces(*cmap, level)
+    if isinstance(leaf, Seq):
+        idx, hull = tf_chain(leaf.tail, eps)
+        _charge(1, len(idx), 0, budget)
+        return (leaf.limit,), leaf.tail, idx, hull, []
+    if isinstance(leaf, Seq2):
+        f, g = leaf.outer, leaf.inner
+        idx_f, hull_f = tf_chain(f, eps)
+        idx, hull_g = tf_chain(g, eps)
+        _charge(len(idx_f), len(idx), len(idx) + 1, budget)
+        bases = [leaf.limit + tf_value(f, n) for n in idx_f]
+        hull_f = hull_f.shift(leaf.limit)
+        hulls = [hull_f.shift(tf_value(g, k)) for k in idx]
+        hulls.append(hull_f + hull_g)
+        return bases, g, idx, hull_g, hulls
+    if isinstance(leaf, Finite):
+        hulls = [Interval(p, p) for p in leaf.points]
+    elif isinstance(leaf, IntervalSet):
+        hulls = [leaf.iv]
+    elif isinstance(leaf, Dense):
+        hulls = [Interval(leaf.lo, leaf.hi, True, True)]
+    else:
+        raise TypeError(f"unknown leaf {leaf!r}")
+    _charge(0, 0, len(hulls), budget)
+    return (), None, range(0), None, hulls
+
+
+def _charge(n_bases: int, n_idx: int, n_hulls: int, budget: int) -> int:
+    """The parts a reading costs; BudgetExceeded when they exceed budget."""
+    cost = n_bases * (n_idx + 1) + n_hulls
+    if cost > budget:
+        raise BudgetExceeded("too many parts at this scale")
+    return cost
 
 
 def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> IntervalUnion:
     """The open delta-neighbourhood of the set, as an exact interval union.
 
-    Each leaf is read at scale 2*delta as points plus hull intervals (the
-    chained tail of a sequence, the construction pieces of a cantor set,
-    an interval), and each of those is widened by delta.
+    Each leaf is read at scale 2*delta (`read_at_scale`): the balls of a
+    run's points and its widened hull are merged once and shifted to each
+    base, and every other hull is widened by delta.  A leaf costs
+    len(bases) * (len(idx) + 1) + len(hulls) parts, and BudgetExceeded is
+    raised when the leaves together cost more than `budget`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     parts: list[Interval] = []
+    spent = 0
     for leaf in leaves(s):
-        cmap = cantor_map(leaf)
-        if cmap is not None:
-            parts.extend(_cantor_parts(*cmap, delta, budget))
-        elif isinstance(leaf, Finite):
-            parts.extend(_ball(p, delta) for p in leaf.points)
-        elif isinstance(leaf, Seq):
-            parts.extend(_seq_parts(leaf.limit, leaf.tail, delta, budget))
-        elif isinstance(leaf, Seq2):
-            parts.extend(_seq2_parts(leaf, delta, budget))
-        elif isinstance(leaf, IntervalSet):
-            parts.append(_widen(leaf.iv, delta))
-        elif isinstance(leaf, Dense):
-            parts.append(_widen(Interval(leaf.lo, leaf.hi, True, True), delta))
-        else:
-            raise TypeError(f"unknown leaf {leaf!r}")
-        if len(parts) > budget:
-            raise BudgetExceeded("neighbourhood part budget exhausted")
+        bases, tf, idx, run_hull, hulls = read_at_scale(leaf, 2 * delta, budget - spent)
+        spent += _charge(len(bases), len(idx), len(hulls), budget - spent)
+        if bases:
+            points = (tf_value(tf, n) for n in idx)
+            run = [Interval(v - delta, v + delta, True, True) for v in points]
+            run = iu_normalize(run + [_widen(run_hull, delta)]).parts
+            for b in bases:
+                parts.extend(p.shift(b) for p in run)
+        parts.extend(_widen(h, delta) for h in hulls)
     return iu_normalize(parts)
 
 
@@ -138,9 +141,8 @@ def cantor_neighborhood_stats(alpha: Rat, beta: Rat, delta: Rat) -> tuple[Rat, R
     in closed form; the set is symmetric so the average is alpha/2 + beta."""
     scale = abs(alpha)
     d0 = delta / scale
-    lstar = _cantor_level(d0) - 1
     measure0 = 1 + 2 * d0
-    for level in range(1, lstar + 1):
+    for level in range(1, _cantor_depth(alpha, 2 * delta) + 1):
         gap = Fraction(1, 3**level)
         if gap - 2 * d0 > 0:
             measure0 -= 2 ** (level - 1) * (gap - 2 * d0)

@@ -107,6 +107,16 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+def _geo_piece(coeff: Fraction, r: Fraction, expo: tuple[str, int | None]):
+    """(var, coeff * r^var) or (var, coeff * r^(s^var)) for a ratio in (0, 1)."""
+    var, s = expo
+    if not (0 < r < 1):
+        raise SemanticError(f"ratio must be in (0,1): {r}")
+    if s is None:
+        return var, GeoTerm(coeff, r)
+    return var, DoubleGeoTerm(coeff, r, s)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -194,34 +204,20 @@ class _Parser:
                 return var, PowTerm(coeff, p)
             base_tok = self._expect("int")
             base = int(base_tok.text)
+            if base == 0:
+                raise ParseError(base_tok.pos, "zero denominator")
             if self._at("^"):
                 self._next()
-                var, s = self._expo()
-                r = Fraction(1, base)
-                if not (0 < r < 1):
-                    raise SemanticError(f"ratio must be in (0,1): {r}")
-                if s is None:
-                    return var, GeoTerm(coeff, r)
-                return var, DoubleGeoTerm(coeff, r, s)
+                return _geo_piece(coeff, Fraction(1, base), self._expo())
             return "const", coeff / base
         if self._at("*"):
             self._next()
             r = self._rat()
             self._expect("^")
-            var, s = self._expo()
-            if not (0 < r < 1):
-                raise SemanticError(f"ratio must be in (0,1): {r}")
-            if s is None:
-                return var, GeoTerm(coeff, r)
-            return var, DoubleGeoTerm(coeff, r, s)
+            return _geo_piece(coeff, r, self._expo())
         if self._at("^"):
             self._next()
-            var, s = self._expo()
-            if not (0 < coeff < 1):
-                raise SemanticError(f"ratio must be in (0,1): {coeff}")
-            if s is None:
-                return var, GeoTerm(Fraction(1), coeff)
-            return var, DoubleGeoTerm(Fraction(1), coeff, s)
+            return _geo_piece(Fraction(1), coeff, self._expo())
         return "const", coeff
 
     def _scalar_body(self):

@@ -1074,6 +1074,8 @@ def _closure_profile(s: SetExpr):
     ls = leaves(closure(s))
     if all(isinstance(l, Finite) for l in ls):
         pts = sorted({p for l in ls for p in l.points})
+        if not pts:
+            raise Unsupported("hausdorff distance of an empty set is not defined")
         return ("finite", pts)
     if all(isinstance(l, (Finite, IntervalSet)) for l in ls):
         parts = []

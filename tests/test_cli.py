@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from setmeans import cli
 
 BASE = [sys.executable, "-m", "setmeans.cli"]
@@ -43,6 +45,31 @@ def test_eval_empty_set_undefined(capsys):
     assert cli.main(["eval", "iso", "{}"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"status": "undefined", "reason": "empty set"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "lis", "{1/0^n}"], 1),
+        (["eval", "lis", "{1/0^(2^n)}"], 1),
+        (["topology", "split:1/0", "{1/n}"], 1),
+        (["topology", "isolated:1/0", "{1/n}"], 1),
+        (["eval", "eds", "{1/n}", "--base", "0,1/0"], 1),
+        (["rearrange", "{1/n}", "--target", "1/0"], 1),
+        (["rearrange", "{1/n}", "--divergent", "--p", "1/0"], 1),
+        (["rearrange", "{1/n}", "--divergent", "--q", "1/0"], 1),
+        (["topology", "hausdorff:{}", "{1}"], 3),
+    ],
+)
+def test_zero_denominator_and_empty_operand(argv, code, capsys):
+    # a zero denominator is an input error (exit 1); the hausdorff distance
+    # to an empty set is not defined (a domain error, exit 3)
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == ("undefined" if code == 3 else "error")
+    assert doc["reason"]
 
 
 def test_meanset_axs_schema():

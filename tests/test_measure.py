@@ -7,7 +7,9 @@ from random import Random
 import pytest
 
 from setmeans import (
+    BudgetExceeded,
     Cantor,
+    Dense,
     Interval,
     Unsupported,
     UndefinedMean,
@@ -33,10 +35,18 @@ from setmeans import (
     Affine,
 )
 from setmeans.means import _lavg_eval_float
-from setmeans.setexpr import leaves
+from setmeans.measure import read_at_scale
+from setmeans.setexpr import bounds, leaves
 from setmeans.terms import tf_resolution_index, tf_value
 
-from gen import random_countable, random_rat
+from gen import (
+    random_countable,
+    random_finite,
+    random_interval,
+    random_rat,
+    random_seq,
+    random_seq2,
+)
 
 L = parse("{1/n} U {2 + 1/2^n}")
 
@@ -246,6 +256,53 @@ def test_eds_cells_mapped_cantor_oracle():
             ends = _cantor_endpoints(alpha, beta, level + 1)
             impl = set(eds_cells(s, 2**k, (a, b)).indices())
             assert impl == {((p - a) / w).__floor__() for p in ends}
+
+
+def _raises_budget(fn) -> bool:
+    try:
+        fn()
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def test_scale_budget_parity():
+    # one leaf read at scale eps costs len(bases) * (len(idx) + 1) +
+    # len(hulls) parts, and the neighbourhood at eps/2 and the cells of width
+    # eps refuse exactly the budgets below that cost
+    rng = Random(97)
+    ls = [random_finite(rng), random_interval(rng), Dense(F(-1), F(2))]
+    ls += [random_seq(rng, allow_dgeo=True) for _ in range(4)]
+    ls += [random_seq2(rng) for _ in range(4)]
+    ls += [map_affine(Cantor(), alpha, beta) for alpha, beta in CANTOR_MAPS]
+    for s in ls:
+        lo, hi, _, _ = bounds(s)
+        a = F(lo.__floor__() - 1)
+        for eps in (F(1, 8), F(1, 32), F(1, 128)):
+            n = ((hi - a) / eps).__floor__() + 1
+            bases, _, idx, _, hulls = read_at_scale(leaves(s)[0], eps, 10**9)
+            cost = len(bases) * (len(idx) + 1) + len(hulls)
+            for budget in (cost - 2, cost - 1, cost, cost + 1):
+                nbr = _raises_budget(lambda: neighborhood(s, eps / 2, budget))
+                eds = _raises_budget(lambda: eds_cells(s, n, (a, a + n * eps), budget))
+                assert nbr == eds == (budget < cost), (s, eps, budget, cost)
+
+
+def test_eds_cells_cantor_within_budget():
+    # pieces at least a cell wide have inner gaps narrower than a cell, so the
+    # cells take 2**5 pieces on this grid, where the first level narrower
+    # than a cell has 2**6
+    alpha, beta = F(-2), F(1)
+    s = map_affine(Cantor(), alpha, beta)
+    a, b = default_base(s)
+    w = (b - a) / 2**10
+    level = 0
+    while abs(alpha) / 3**level > w:
+        level += 1
+    assert 2 ** (level - 1) <= 40 < 2**level
+    ends = _cantor_endpoints(alpha, beta, level + 1)
+    impl = set(eds_cells(s, 2**10, (a, b), budget=40).indices())
+    assert impl == {((p - a) / w).__floor__() for p in ends}
 
 
 def test_neighborhood_monotone_and_equivariant():

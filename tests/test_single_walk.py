@@ -1,11 +1,15 @@
-"""A sequence leaf is read at a scale in one place, `terms.tf_chain`, and
-package imports sit at the top of each module.
+"""A sequence leaf is read at a scale in one place, `terms.tf_chain`, every
+leaf of the scale means in one place, `measure.read_at_scale`, and package
+imports sit at the top of each module.
 
 The first guard fails when any other function of `src/setmeans` calls
 `tf_resolution_index`: such a function re-derives the split of a tail into
 resolved points and a chained hull, which it should take from `tf_chain`.
+The next three fail when a scale mean reads a tail or walks cantor pieces
+outside `read_at_scale` (the float `lavg` evaluator keeps its own float
+tail cover), or when `neighborhood` or `eds_cells` dispatches on leaf kind.
 
-The second fails when a function body imports from the package: `terms`
+The last fails when a function body imports from the package: `terms`
 imports only `core` and `errors`, so no such import breaks a cycle.
 """
 
@@ -48,11 +52,29 @@ def _imports_package(fn) -> bool:
     return False
 
 
+def _callers(name: str):
+    return sorted({(mod, fn.name) for mod, fn in _functions() if _calls(fn, name)})
+
+
 def test_one_resolution_walk():
+    assert _callers("tf_resolution_index") == [("terms", "tf_chain")]
+
+
+def test_one_tail_reading():
+    assert _callers("tf_chain") == [("means", "_seq_float_parts"), ("measure", "read_at_scale")]
+
+
+def test_one_cantor_pieces_walk():
+    assert _callers("_cantor_pieces") == [("measure", "read_at_scale")]
+
+
+def test_scale_means_do_not_dispatch_on_leaf_kind():
     found = sorted(
-        {(mod, fn.name) for mod, fn in _functions() if _calls(fn, "tf_resolution_index")}
+        (mod, fn.name)
+        for mod, fn in _functions()
+        if fn.name in ("neighborhood", "eds_cells") and _calls(fn, "isinstance")
     )
-    assert found == [("terms", "tf_chain")], found
+    assert found == [], found
 
 
 def test_no_function_local_package_imports():
