@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroMeasure
@@ -153,14 +154,8 @@ EMPTY_UNION = IntervalUnion(())
 MeanSet = IntervalUnion
 
 
-def _mergeable(acc: Interval, nxt: Interval) -> bool:
-    """Can nxt be merged into acc, assuming acc.lo <= nxt.lo (sorted sweep)?"""
-    if nxt.lo < acc.hi:
-        return True
-    if nxt.lo > acc.hi:
-        return False
-    # Touching at one point: merge unless that point is missing on both sides.
-    return not (acc.hi_open and nxt.lo_open)
+def _float_key(iv: Interval):
+    return float(iv.lo), iv.lo_open
 
 
 def iu_normalize(raw: Iterable[Interval]) -> IntervalUnion:
@@ -168,16 +163,38 @@ def iu_normalize(raw: Iterable[Interval]) -> IntervalUnion:
 
     Idempotent and insensitive to input order; the point set is unchanged.
     """
-    items = sorted(raw, key=lambda iv: (iv.lo, iv.lo_open))
+    items = list(raw)
+    try:
+        # float() is monotone, so after a stable presort by (float(lo),
+        # lo_open) the stable sort by the exact lo gives the order of one
+        # sort by (lo, lo_open), in about n exact comparisons
+        items.sort(key=_float_key)
+        items.sort(key=attrgetter("lo"))
+    except OverflowError:  # an endpoint beyond the float range
+        items.sort(key=lambda iv: (iv.lo, iv.lo_open))
     out: list[Interval] = []
+    run = None  # the first part of the current run, which reaches hi
     for iv in items:
-        if out and _mergeable(out[-1], iv):
-            acc = out[-1]
-            hi, hi_open = max((acc.hi, not acc.hi_open), (iv.hi, not iv.hi_open))
-            out[-1] = Interval(acc.lo, hi, acc.lo_open, not hi_open)
-        else:
-            out.append(iv)
+        # iv joins the run unless it starts past hi, or at hi when the
+        # point hi is missing on both sides
+        if run is not None and (iv.lo < hi or (iv.lo == hi and not (hi_open and iv.lo_open))):
+            # a later upper end reaches further; at a tie the closed one does
+            if iv.hi > hi or (iv.hi == hi and hi_open and not iv.hi_open):
+                hi, hi_open = iv.hi, iv.hi_open
+            continue
+        if run is not None:
+            out.append(_reaching(run, hi, hi_open))
+        run, hi, hi_open = iv, iv.hi, iv.hi_open
+    if run is not None:
+        out.append(_reaching(run, hi, hi_open))
     return IntervalUnion(tuple(out))
+
+
+def _reaching(iv: Interval, hi: Rat, hi_open: bool) -> Interval:
+    """iv with its upper end moved to hi."""
+    if hi is iv.hi and hi_open == iv.hi_open:
+        return iv
+    return Interval(iv.lo, hi, iv.lo_open, hi_open)
 
 
 mean_set = iu_normalize

@@ -9,9 +9,11 @@ order of magnitude wider.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import eq
 
 from .core import Interval, Rat, arithmetic_mean, avg_iu
 from .errors import (
@@ -297,14 +299,17 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
             raise UndefinedMean("empty set")
         return exact_outcome(arithmetic_mean(pts))
 
+    # the first step runs eagerly, so its domain error or BudgetExceeded
+    # surfaces here; the schedule then takes its result
+    first = sched.param(sched.start_exp)
+    eager = {first: isolated_stats(s, first, budget)}
+
     def evaluate(delta):
-        count, total = isolated_stats(s, delta, budget)
+        count, total = eager.pop(delta, None) or isolated_stats(s, delta, budget)
         if count == 0:
             return None
         return total / count, None
 
-    # surface the domain error eagerly
-    isolated_stats(s, sched.param(sched.start_exp), budget)
     return run_schedule(evaluate, sched)
 
 
@@ -316,55 +321,50 @@ _EXACT_NBR_BUDGET = 3000
 
 
 def _seq_float_parts(limit, tf, delta, out):
-    """Append ascending (lo, hi) float parts for one sequence leaf."""
+    """Append the (lo, hi) float parts of one sequence leaf: its tail cover
+    and the ball of each resolved point."""
     d = float(delta)
     idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
     x_r = lf + tf_value_float(tf, idx.stop)
-    cover = (min(lf, x_r) - d, max(lf, x_r) + d)
-    pieces = [cover]
+    out.append((min(lf, x_r) - d, max(lf, x_r) + d))
     pw = tf_single_pow(tf)
     if pw is not None:
         c, p = float(pw.c), pw.p
-        pieces.extend(
-            (lf + c / n**p - d, lf + c / n**p + d) for n in idx
-        )
+        values = [lf + c / n**p for n in idx]
     else:
-        pieces.extend(
-            (
-                lf + tf_value_float(tf, n) - d,
-                lf + tf_value_float(tf, n) + d,
-            )
-            for n in idx
-        )
-    pieces.sort()
-    out.append(pieces)
+        values = [lf + tf_value_float(tf, n) for n in idx]
+    out.extend([(v - d, v + d) for v in values])
 
 
 def _lavg_eval_float(ls, delta) -> float:
-    lists = []
+    parts = []
     d = float(delta)
     for leaf in ls:
         if isinstance(leaf, Finite):
-            lists.append(sorted((float(p) - d, float(p) + d) for p in leaf.points))
+            parts.extend((float(p) - d, float(p) + d) for p in leaf.points)
         elif isinstance(leaf, Seq):
-            _seq_float_parts(leaf.limit, leaf.tail, delta, lists)
+            _seq_float_parts(leaf.limit, leaf.tail, delta, parts)
         elif isinstance(leaf, IntervalSet):
-            lists.append([(float(leaf.iv.lo) - d, float(leaf.iv.hi) + d)])
+            parts.append((float(leaf.iv.lo) - d, float(leaf.iv.hi) + d))
         elif isinstance(leaf, Dense):
-            lists.append([(float(leaf.lo) - d, float(leaf.hi) + d)])
+            parts.append((float(leaf.lo) - d, float(leaf.hi) + d))
         else:
             # double sequences and cantor leaves fall back to exact parts
             u = neighborhood(leaf, delta, budget=200_000)
-            lists.append([(float(p.lo), float(p.hi)) for p in u.parts])
+            parts.extend((float(p.lo), float(p.hi)) for p in u.parts)
+    # a stable sort of all parts is the order a merge of the per-leaf sorted
+    # lists gives, so the sweep adds the same terms in the same order
+    parts.sort()
     measure = 0.0
     moment = 0.0
     cur_lo = cur_hi = None
-    for lo, hi in heapq.merge(*lists):
+    for lo, hi in parts:
         if cur_hi is None:
             cur_lo, cur_hi = lo, hi
         elif lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
+            if hi > cur_hi:
+                cur_hi = hi
         else:
             measure += cur_hi - cur_lo
             moment += (cur_hi * cur_hi - cur_lo * cur_lo) / 2
@@ -405,17 +405,25 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
 
 @dataclass(frozen=True)
 class CellCover:
-    """Occupied cells of a uniform left-closed grid over [a, b)."""
+    """Occupied cells of a uniform left-closed grid over [a, b): merged
+    inclusive spans of cells, plus the single cells outside every span."""
 
     n: int
     base: tuple[Rat, Rat]
-    ranges: tuple[tuple[int, int], ...]  # inclusive index ranges, sorted
+    spans: tuple[tuple[int, int], ...]  # inclusive index ranges, merged
+    cells: tuple[int, ...]  # ascending, each outside every span
+
+    @cached_property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        """Every occupied cell as merged inclusive index ranges, sorted."""
+        return _merge_ranges([(j, j) for j in self.cells] + list(self.spans))
 
     def count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.ranges)
+        return len(self.cells) + sum(hi - lo + 1 for lo, hi in self.spans)
 
     def index_sum(self) -> int:
-        return sum((hi * (hi + 1) - (lo - 1) * lo) // 2 for lo, hi in self.ranges)
+        spans = sum((hi * (hi + 1) - (lo - 1) * lo) // 2 for lo, hi in self.spans)
+        return sum(self.cells) + spans
 
     def left_endpoint_mean(self) -> Rat:
         cnt = self.count()
@@ -431,14 +439,21 @@ class CellCover:
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The inclusive ranges merged where they overlap or touch, sorted."""
+    if not ranges:
+        return ()
     ranges.sort()
-    out: list[list[int]] = []
-    for lo, hi in ranges:
-        if out and lo <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], hi)
+    out: list[tuple[int, int]] = []
+    lo, hi = ranges[0]
+    for a, b in ranges:
+        if a <= hi + 1:
+            if b > hi:
+                hi = b
         else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
+            out.append((lo, hi))
+            lo, hi = a, b
+    out.append((lo, hi))
+    return tuple(out)
 
 
 def _iv_cells(iv: Interval, a: Rat, b: Rat, n: int) -> tuple[int, int]:
@@ -475,37 +490,46 @@ def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int
     return i
 
 
-def _run_cells(base: Rat, tf: TermFun, idx: range, run_hull: Interval, a: Rat, b: Rat, n: int, out):
-    """Append the exact cells of the points base + tf(i), i in idx, and the
-    cells the chained hull base + run_hull meets."""
+def _run_cells(base: Rat, tf: TermFun, idx: range, a: Rat, b: Rat, n: int) -> list[int]:
+    """The exact cells of the points base + tf(i), i in idx."""
     pw = tf_single_pow(tf)
-    if pw is not None and len(idx) > 64:
-        # integer fast path: floor(((base + c/i^p) - a) * N / (b - a))
-        pa, qa = (base - a).numerator, (base - a).denominator
-        pc, qc = pw.c.numerator, pw.c.denominator
-        ps, qs = (b - a).numerator, (b - a).denominator
-        p = pw.p
-        for i in idx:
-            ipow = i**p
-            num = (pa * qc * ipow + pc * qa) * n * qs
-            den = qa * qc * ipow * ps
-            j = num // den
-            out.append((j, j))
-    else:
-        for i in idx:
-            j = _cell_of_seq_point(tf, i, base, a, b, n)
-            out.append((j, j))
-    out.append(_iv_cells(run_hull.shift(base), a, b, n))
+    if pw is None or len(idx) <= 64:
+        return [_cell_of_seq_point(tf, i, base, a, b, n) for i in idx]
+    # integer fast path: floor(((base + c/i^p) - a) * n / (b - a)) is
+    # (A*i^p + B) // (C*i^p) over the numerators and denominators
+    off, c, w = base - a, pw.c, b - a
+    A = off.numerator * c.denominator * n * w.denominator
+    B = c.numerator * off.denominator * n * w.denominator
+    C = off.denominator * c.denominator * w.numerator
+    powers = idx if pw.p == 1 else [i**pw.p for i in idx]
+    return [(A * q + B) // (C * q) for q in powers]
+
+
+def _cover(n: int, base: tuple[Rat, Rat], cells: list[int], spans: list[tuple[int, int]]) -> CellCover:
+    """The cover of the point cells and the hull spans: the spans merged, and
+    each distinct point cell that no span holds."""
+    spans = _merge_ranges(spans)
+    cells.sort()
+    if any(map(eq, cells, cells[1:])):
+        cells = list(dict.fromkeys(cells))  # two runs can share a cell
+    kept: list[int] = []
+    i = 0
+    for lo, hi in spans:
+        j = bisect_left(cells, lo, i)
+        kept.extend(cells[i:j])
+        i = bisect_right(cells, hi, j)
+    kept.extend(cells[i:])
+    return CellCover(n, base, spans, tuple(kept))
 
 
 def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000) -> CellCover:
-    """Exact occupied-cell ranges of the n-cell grid over [a, b).
+    """Exact occupied cells of the n-cell grid over [a, b).
 
     Each leaf is read at the cell width (`read_at_scale`): a run's points
     fall in their exact cells, and its chained hull and every other hull
-    occupy each cell they meet.  A leaf costs len(bases) * (len(idx) + 1) +
-    len(hulls) ranges, and BudgetExceeded is raised when the leaves together
-    cost more than `budget`.
+    occupy the span of cells they meet.  A leaf costs len(bases) *
+    (len(idx) + 1) + len(hulls) cells and spans, and BudgetExceeded is
+    raised when the leaves together cost more than `budget`.
     """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
@@ -515,13 +539,16 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     lo, hi, lo_att, hi_att = bounds(s)
     if lo < a or hi > b or (hi == b and hi_att):
         raise OutOfBase("point set must lie inside [a, b)")
-    ranges: list[tuple[int, int]] = []
+    cells: list[int] = []
+    spans: list[tuple[int, int]] = []
     for leaf in leaves(s):
-        bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - len(ranges))
+        spent = len(cells) + len(spans)
+        bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - spent)
         for x in bases:
-            _run_cells(x, tf, idx, run_hull, a, b, n, ranges)
-        ranges.extend(_iv_cells(h, a, b, n) for h in hulls)
-    return CellCover(n, (a, b), _merge_ranges(ranges))
+            cells.extend(_run_cells(x, tf, idx, a, b, n))
+            spans.append(_iv_cells(run_hull.shift(x), a, b, n))
+        spans.extend(_iv_cells(h, a, b, n) for h in hulls)
+    return _cover(n, (a, b), cells, spans)
 
 
 def default_base(s: SetExpr) -> tuple[Rat, Rat]:

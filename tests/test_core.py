@@ -1,6 +1,7 @@
 """Interval-union algebra: normalization, measure, moment, average."""
 
 from fractions import Fraction as F
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -58,6 +59,52 @@ def test_normalize_idempotent_and_order_insensitive():
         u2 = iu_normalize(raw)
         assert u1 == u2
         assert iu_normalize(u1.parts) == u1
+
+
+def _exact_sort_normal_form(raw):
+    """The normal form from one stable sort by the exact (lo, lo_open)."""
+    out = []
+    for iv in sorted(raw, key=lambda iv: (iv.lo, iv.lo_open)):
+        acc = out[-1] if out else None
+        if acc is not None and (
+            iv.lo < acc.hi or (iv.lo == acc.hi and not (acc.hi_open and iv.lo_open))
+        ):
+            hi, hi_open = max((acc.hi, not acc.hi_open), (iv.hi, not iv.hi_open))
+            out[-1] = Interval(acc.lo, hi, acc.lo_open, not hi_open)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def test_normalize_float_ties():
+    # ends a float cannot tell apart, open and closed at the same lo: the
+    # float presort must leave the order to the exact sort
+    tiny = F(1, 10**40)
+    assert float(F(1, 3)) == float(F(1, 3) + tiny)
+    rng = Random(31)
+    for _ in range(300):
+        raw = []
+        for _ in range(rng.randint(1, 12)):
+            lo = rng.choice([F(1, 3), F(-2, 7)]) + rng.randint(-2, 2) * tiny
+            width = rng.choice([0, tiny, 2 * tiny, F(1, 10**6), F(1, 5)])
+            if width == 0:
+                raw.append(Interval(lo, lo))
+            else:
+                raw.append(Interval(lo, lo + width, rng.random() < 0.5, rng.random() < 0.5))
+        want = _exact_sort_normal_form(raw)
+        for _ in range(4):
+            rng.shuffle(raw)
+            assert iu_normalize(raw).parts == want
+
+
+def test_normalize_beyond_float_range():
+    # parse reads literals of any size, and a float key overflows above ~1.8e308
+    big = F(10**400)
+    raw = [Interval(big + 2, big + 3), Interval(big, big + 2, True), Interval(big, big), interval(0, 1)]
+    want = _exact_sort_normal_form(raw)
+    assert want == (interval(0, 1), Interval(big, big + 3))
+    for order in permutations(raw):
+        assert iu_normalize(order).parts == want
 
 
 def test_measure_examples():

@@ -1,5 +1,6 @@
 """Neighbourhoods, the measure average, and the half-measure median set."""
 
+import heapq
 from bisect import bisect_left
 from fractions import Fraction as F
 from random import Random
@@ -34,10 +35,16 @@ from setmeans import (
     parse,
     Affine,
 )
-from setmeans.means import _lavg_eval_float
+from setmeans.means import _cell_of_seq_point, _iv_cells, _lavg_eval_float
 from setmeans.measure import read_at_scale
-from setmeans.setexpr import bounds, leaves
-from setmeans.terms import tf_resolution_index, tf_value
+from setmeans.setexpr import Finite, IntervalSet, Seq, bounds, leaves
+from setmeans.terms import (
+    tf_chain,
+    tf_resolution_index,
+    tf_single_pow,
+    tf_value,
+    tf_value_float,
+)
 
 from gen import (
     random_countable,
@@ -48,7 +55,8 @@ from gen import (
     random_seq2,
 )
 
-L = parse("{1/n} U {2 + 1/2^n}")
+L_TEXT = "{1/n} U {2 + 1/2^n}"
+L = parse(L_TEXT)
 
 
 def _ball(x, delta):
@@ -303,6 +311,111 @@ def test_eds_cells_cantor_within_budget():
     ends = _cantor_endpoints(alpha, beta, level + 1)
     impl = set(eds_cells(s, 2**10, (a, b), budget=40).indices())
     assert impl == {((p - a) / w).__floor__() for p in ends}
+
+
+def _cells_one_range_per_point(s, n, base):
+    """The occupied cells built one range per point and per hull, merged."""
+    a, b = base
+    ranges = []
+    for leaf in leaves(s):
+        bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, 10**9)
+        for x in bases:
+            for i in idx:
+                j = _cell_of_seq_point(tf, i, x, a, b, n)
+                ranges.append((j, j))
+            ranges.append(_iv_cells(run_hull.shift(x), a, b, n))
+        ranges.extend(_iv_cells(h, a, b, n) for h in hulls)
+    ranges.sort()
+    out = []
+    for lo, hi in ranges:
+        if out and lo <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
+
+
+def test_eds_cells_spans_and_cells_oracle():
+    # point cells a hull span holds, cells two runs share, and power tails
+    # long enough for the integer fast path (more than 64 points)
+    rng = Random(113)
+    cases = [(random_countable(rng), (3, 7, 10)) for _ in range(30)]
+    for text in ("{1/n} U [0, 1/8]", "{1/n} U {1/n^2}", "{-1/n} U {1 - 1/n - 1/k}", L_TEXT):
+        cases.append((parse(text), (4, 9, 14, 17)))
+    for s, exps in cases:
+        base = default_base(s)
+        for k in exps:
+            cover = eds_cells(s, 2**k, base)
+            cells = list(cover.indices())
+            assert cover.count() == len(set(cells)) == len(cells)
+            assert cover.index_sum() == sum(cells)
+            r = cover.ranges
+            assert all(lo <= hi for lo, hi in r)
+            assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(r, r[1:]))
+            assert r == _cells_one_range_per_point(s, 2**k, base), (s, k)
+
+
+def _lavg_float_by_heap_merge(ls, delta):
+    """The float neighbourhood average swept over a heapq.merge of each
+    leaf's sorted parts."""
+    d = float(delta)
+    lists = []
+    for leaf in ls:
+        if isinstance(leaf, Finite):
+            lists.append(sorted((float(p) - d, float(p) + d) for p in leaf.points))
+        elif isinstance(leaf, Seq):
+            tf, lf = leaf.tail, float(leaf.limit)
+            idx = tf_chain(tf, 2 * delta)[0]
+            x_r = lf + tf_value_float(tf, idx.stop)
+            pieces = [(min(lf, x_r) - d, max(lf, x_r) + d)]
+            pw = tf_single_pow(tf)
+            if pw is not None:
+                c, p = float(pw.c), pw.p
+                pieces.extend((lf + c / n**p - d, lf + c / n**p + d) for n in idx)
+            else:
+                pieces.extend(
+                    (lf + tf_value_float(tf, n) - d, lf + tf_value_float(tf, n) + d) for n in idx
+                )
+            lists.append(sorted(pieces))
+        elif isinstance(leaf, IntervalSet):
+            lists.append([(float(leaf.iv.lo) - d, float(leaf.iv.hi) + d)])
+        elif isinstance(leaf, Dense):
+            lists.append([(float(leaf.lo) - d, float(leaf.hi) + d)])
+        else:
+            u = neighborhood(leaf, delta, budget=200_000)
+            lists.append([(float(p.lo), float(p.hi)) for p in u.parts])
+    measure = moment = 0.0
+    cur_lo = cur_hi = None
+    for lo, hi in heapq.merge(*lists):
+        if cur_hi is None:
+            cur_lo, cur_hi = lo, hi
+        elif lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            measure += cur_hi - cur_lo
+            moment += (cur_hi * cur_hi - cur_lo * cur_lo) / 2
+            cur_lo, cur_hi = lo, hi
+    measure += cur_hi - cur_lo
+    moment += (cur_hi * cur_hi - cur_lo * cur_lo) / 2
+    return moment / measure
+
+
+def test_lavg_float_sweep_bits():
+    # one sort of every part sweeps in the order of a merge of the per-leaf
+    # sorted lists, so the float average keeps its bits
+    rng = Random(127)
+    cases = [(random_countable(rng, allow_seq2=False, allow_dense=True), 20) for _ in range(30)]
+    cases += [
+        (parse("{1/n} U {0, 1/1000, 1/3, 500001/1000000} U [-1, -1/2]"), 20),
+        (parse("{-1/n^2} U {2 - 1/2^n} U {-1/100, 2}"), 20),
+        (parse("{-1/n} U {1 - 1/n - 1/k} U {1}"), 12),
+    ]
+    for s, last in cases:
+        ls = leaves(s)
+        for k in range(4, last + 1):
+            delta = F(1, 2**k)
+            got = _lavg_eval_float(ls, delta)
+            assert got.hex() == _lavg_float_by_heap_merge(ls, delta).hex(), (s, k)
 
 
 def test_neighborhood_monotone_and_equivariant():

@@ -1,9 +1,10 @@
-"""Every module-level function and class in `src/setmeans` has a user.
+"""Every module-level function, class and import in `src/setmeans` has a user.
 
 A definition counts as used when its name is referenced (as a name, an
 attribute or an imported name) anywhere in `src/` or `tests/` outside its
 own definition.  Re-exports from `setmeans/__init__.py` are imports, so they
-count too.
+count too.  A module-level import counts as used when its module reads the
+imported name; `__init__.py`, which imports to re-export, is left out.
 """
 
 import ast
@@ -53,3 +54,22 @@ def test_every_definition_is_referenced():
             if not (used_here or used_elsewhere):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not unused, "unused imports: " + ", ".join(unused)
