@@ -252,18 +252,15 @@ def stream_from_finite(points, label="finite") -> ValueStream:
     return ValueStream(it(), label=label, dev_bound=None)
 
 
-def canonical_stream(
-    s: SetExpr | None, skip_values=frozenset(), skip_callables=(), label="rest"
-) -> ValueStream:
-    """Canonical enumeration of s, skipping values owned by other streams.
+def canonical_stream(s: SetExpr, owned: tuple[Callable[[Rat], bool], ...]) -> ValueStream:
+    """Canonical enumeration of s, skipping every value a test in `owned`
+    claims for another stream.
 
     The expression must be the structural remainder (witness leaves removed),
     so every element is examined once and exhaustion is a real StopIteration.
     """
 
     def it():
-        if s is None:
-            return
         seen: set[Rat] = set()
         for v in point_generator(s):
             if v in seen:
@@ -271,11 +268,11 @@ def canonical_stream(
             seen.add(v)
             if len(seen) > 4_000_000:
                 raise BudgetExceeded("canonical stream dedup set exhausted")
-            if v in skip_values or any(sk(v) for sk in skip_callables):
+            if any(claims(v) for claims in owned):
                 continue
             yield float(v), _exact_if_small(v)
 
-    return ValueStream(it(), label=label)
+    return ValueStream(it(), label="rest")
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +437,8 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
         return merge_absorb(a, b, label=label)
     if a.mean is None or b.mean is None:
         raise NoWitness("weighted merging needs both stream means")
-    if alpha <= Fraction(1, 2):
-        first, rest, gamma = a, b, 1 / alpha
-    else:
-        first, rest, gamma = b, a, 1 / (1 - alpha)
+    first, rest = (a, b) if alpha <= Fraction(1, 2) else (b, a)
+    gamma = params.gamma
     target = alpha * a.mean + (1 - alpha) * b.mean
     counters = {"first_draws": 0, "total": 0}
 
@@ -557,27 +552,10 @@ def _seq_collision_indices(dst: Seq, src: Seq) -> set[int]:
     return out
 
 
-def _collision_values(rest_leaf, backing) -> set[Rat]:
-    """Values of a remainder leaf that already belong to a witness stream."""
-    out: set[Rat] = set()
-    if backing[0] != "seq":
-        return out  # dense-edge witnesses are handled by a callable skip
-    wit: Seq = backing[1]
-    if isinstance(rest_leaf, Finite):
-        for p in rest_leaf.points:
-            if _seq_value_index(wit.limit, wit.tail, p) is not None:
-                out.add(p)
-        return out
-    if isinstance(rest_leaf, Seq):
-        for idx in _seq_collision_indices(rest_leaf, wit):
-            out.add(rest_leaf.limit + tf_value(rest_leaf.tail, idx))
-        return out
-    raise BudgetExceeded("collision sets for this leaf shape need callables")
-
-
 def _subsample(src: ValueStream, parity: int) -> ValueStream:
     """Every other element of src; keeps the mean and the rate envelope
-    (the n-th emitted element has an original index of at least n)."""
+    (the n-th emitted element has an original index of at least n).  The
+    other elements are dropped, so src must have no other reader."""
 
     def it():
         idx = 0
@@ -616,24 +594,6 @@ def interleave(x: ValueStream, y: ValueStream, label="interleave") -> ValueStrea
     return ValueStream(it(), label=label)
 
 
-def _c_skips(rest_leaves, backings):
-    """(value set, callables) marking remainder values owned by witnesses."""
-    values: set[Rat] = set()
-    callables = []
-    for backing, stream in backings:
-        need_callable = backing[0] != "seq" or backing[2]
-        for leaf in rest_leaves:
-            if need_callable:
-                continue
-            try:
-                values.update(_collision_values(leaf, backing))
-            except BudgetExceeded:
-                need_callable = True
-        if need_callable:
-            callables.append(stream.contains)
-    return frozenset(values), tuple(callables)
-
-
 def split_three(s: SetExpr):
     """Three disjoint streams covering s exactly: one converging to the
     lower limit, one to the upper limit, and the remainder.  Also returns
@@ -649,18 +609,15 @@ def split_three(s: SetExpr):
     a_back, a_leaf, a_full = got
     a = _stream_from_backing(a_back, label="witness-lo")
     consumed = {a_leaf} if a_full else set()
-    partial = not a_full
     if hi == lo:
-        rest_leaves = _remainder_leaves(ls, consumed)
-        skip_vals, skip_calls = _c_skips(
-            rest_leaves, [(_mark_partial(a_back, partial), a)]
-        )
-        c = canonical_stream(_as_expr(rest_leaves), skip_vals, skip_calls)
-        return _subsample(a, 0), _subsample(a, 1), c, lo, hi
-    masked = [
-        l if i != a_leaf or not a_full else Finite(()) for i, l in enumerate(ls)
-    ]
-    got = _witness_backing(masked, hi)
+        # each half reads its own copy of the witness: a half drops the
+        # elements of the other parity, so one shared copy would lose them.
+        # Equal limits rule out a dense filler, whose two ends are distinct
+        # limits, so the witness is a sequence and the copies test alike.
+        twin = _stream_from_backing(a_back, label="witness-lo")
+        c = _remainder(ls, consumed, (a.contains,))
+        return _subsample(a, 0), _subsample(twin, 1), c, lo, hi
+    got = _witness_backing(_emptied(ls, consumed), hi)
     if got is None:
         raise NoWitness("no representable subsequence converges to the upper limit")
     b_back, b_leaf, b_full = got
@@ -671,34 +628,21 @@ def split_three(s: SetExpr):
     else:
         b = _filter_stream(_stream_from_backing(b_back, label="witness-hi"), a.contains)
     if b_full:
-        consumed = consumed | {b_leaf}
-    rest_leaves = _remainder_leaves(ls, consumed)
-    skip_vals, skip_calls = _c_skips(
-        rest_leaves,
-        [(_mark_partial(a_back, not a_full), a), (_mark_partial(b_back, not b_full), b)],
-    )
-    c = canonical_stream(_as_expr(rest_leaves), skip_vals, skip_calls)
-    return a, b, c, lo, hi
+        consumed.add(b_leaf)
+    return a, b, _remainder(ls, consumed, (a.contains, b.contains)), lo, hi
 
 
-def _mark_partial(backing, partial: bool):
-    # a partial witness owns only part of its leaf, so the remainder must be
-    # filtered through the witness's exact membership callable
-    if backing[0] == "seq":
-        return ("seq", backing[1], partial)
-    return backing
+def _emptied(ls, consumed: set[int]) -> list[SetExpr]:
+    """The leaves, with each leaf that a witness consumes whole made empty."""
+    return [Finite(()) if i in consumed else l for i, l in enumerate(ls)]
 
 
-def _remainder_leaves(ls, consumed: set):
-    return [
-        l
-        for i, l in enumerate(ls)
-        if i not in consumed and not (isinstance(l, Finite) and not l.points)
-    ]
-
-
-def _as_expr(rest) -> SetExpr | None:
-    return union(*rest) if rest else None
+def _remainder(ls, consumed: set[int], owned: tuple[Callable[[Rat], bool], ...]) -> ValueStream:
+    """The canonical stream of the leaves left to the remainder.  A witness
+    may own values of those leaves too (a partial witness shares its leaf,
+    and leaves may overlap), so every value a test in `owned` claims stays
+    with its witness."""
+    return canonical_stream(union(*_emptied(ls, consumed)), owned)
 
 
 def _filter_stream(src: ValueStream, banned) -> ValueStream:
@@ -727,9 +671,7 @@ def enumerate_with_mean(s: SetExpr, target: Rat) -> ValueStream:
     a, b, c, lo, hi = split_three(s)
     if not (lo <= target <= hi):
         raise OutOfRange(f"target {target} outside [{lo}, {hi}]")
-    if lo == hi:
-        return merge_absorb(a, interleave(b, c), label="rearranged")
-    if target == lo:
+    if target == lo:  # the only target when lo == hi
         return merge_absorb(a, interleave(b, c), label="rearranged")
     if target == hi:
         return merge_absorb(b, interleave(a, c), label="rearranged")

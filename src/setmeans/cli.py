@@ -52,6 +52,14 @@ _IDEALS = {
 }
 
 
+def _ideal(spec: str) -> Ideal:
+    """The ideal named after the colon of `ideal:kind` or `limits:kind`."""
+    kind = spec.split(":", 1)[1]
+    if kind not in _IDEALS:
+        raise SetMeansError(f"unknown ideal kind {kind!r}")
+    return _IDEALS[kind]
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -117,10 +125,7 @@ def _cmd_eval(args) -> int:
     if name == "lis":
         out = mean_lis(s)
     elif name.startswith("ideal:"):
-        kind = name.split(":", 1)[1]
-        if kind not in _IDEALS:
-            raise SetMeansError(f"unknown ideal kind {kind!r}")
-        out = mean_ideal(s, _IDEALS[kind])
+        out = mean_ideal(s, _ideal(name))
     elif name == "ideal-chain":
         out = mean_ideal_chain(s)
     elif name == "acc":
@@ -178,8 +183,7 @@ def _cmd_topology(args) -> int:
             }
         )
     elif op.startswith("limits:"):
-        ideal = _IDEALS[op.split(":", 1)[1]]
-        lo, hi = ideal_limits(s, ideal)
+        lo, hi = ideal_limits(s, _ideal(op))
         _emit(
             {
                 "op": op,

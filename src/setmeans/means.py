@@ -76,11 +76,6 @@ class MeanOutcome:
     def ok(self) -> bool:
         return self.status in ("exact", "converged")
 
-    def result(self) -> float:
-        if not self.ok():
-            raise UndefinedMean(self.reason or self.status)
-        return float(self.exact) if self.exact is not None else self.value
-
 
 def exact_outcome(value: Rat) -> MeanOutcome:
     return MeanOutcome("exact", value=float(value), exact=Fraction(value))

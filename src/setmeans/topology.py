@@ -404,9 +404,6 @@ class AccStructure:
     anchors: list[AccPoint]  # sorted by value, distinct values
     families: list[AccFamily]  # disjoint open ranges, limits are anchors
 
-    def anchor_values(self) -> list[Rat]:
-        return [a.value for a in self.anchors]
-
     def min_value(self) -> Rat:
         cands = [a.value for a in self.anchors]
         for fam in self.families:
@@ -421,11 +418,16 @@ class AccStructure:
                 cands.append(fam.value(fam.start))
         return max(cands)
 
-    def is_infinite(self) -> bool:
-        return bool(self.families)
-
     def count_if_finite(self) -> int:
         return len(self.anchors) if not self.families else -1
+
+
+def _point_leaves(s: SetExpr) -> list[SetExpr]:
+    """leaves(s), with each one-point interval read as the finite point it is."""
+    return [
+        Finite((leaf.iv.lo,)) if isinstance(leaf, IntervalSet) and leaf.iv.is_point() else leaf
+        for leaf in leaves(s)
+    ]
 
 
 def _merge_flag(table: dict, value: Rat, left: bool, right: bool):
@@ -442,7 +444,7 @@ def acc_structure(s: SetExpr) -> AccStructure:
         raise Unsupported("accumulation structure needs a countable set")
     anchor_flags: dict[Rat, tuple[bool, bool]] = {}
     families: list[AccFamily] = []
-    for leaf in leaves(s):
+    for leaf in _point_leaves(s):
         if isinstance(leaf, Finite):
             continue
         if isinstance(leaf, Dense):
@@ -634,8 +636,6 @@ def _fam_extreme_above(fam: AccFamily, x: Rat) -> Rat | None:
 
 def _check_isolated_dense(ls):
     for leaf in ls:
-        if isinstance(leaf, IntervalSet) and leaf.iv.is_point():
-            continue
         if not isinstance(leaf, (Finite, Seq, Seq2)):
             raise NotIsolatedDense(
                 "set is not the closure of its isolated points"
@@ -762,7 +762,7 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
     accumulation point (H minus the open delta-neighbourhood of H')."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ls = leaves(s)
+    ls = _point_leaves(s)
     _check_isolated_dense(ls)
     comps = _acc_components(s)
     out: list[Rat] = []
@@ -780,7 +780,7 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
 
 def isolated_stats(s: SetExpr, delta: Rat, budget: int = 10_000_000) -> tuple[int, float]:
     """(count, uncompensated float sum) of H - S(H', delta)."""
-    ls = leaves(s)
+    ls = _point_leaves(s)
     _check_isolated_dense(ls)
     comps = _acc_components(s)
     simple = all(c.kind == "point" for c in comps) and all(

@@ -168,6 +168,48 @@ def test_split_three_covers_and_converges():
     assert not missing
 
 
+def _prefix(stream, count):
+    """The exact values of the first `count` pulls (fewer if it ends)."""
+    out = []
+    for _ in range(count):
+        try:
+            _, e = stream.pull()
+        except StopIteration:
+            break
+        assert e is not None
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{1/n} U {1 - 1/n} U {1/2, 1/3, 7, 5}",  # finite points of both witnesses
+        "{1/n} U {1/2^n} U {5 + 1/n}",  # a sequence inside the lower witness
+        "Q(0,1) U {1/n} U {2 + 1/n}",  # a dense-edge lower witness
+        "{1/n} U {1 + 1/n + 1/k}",  # a partial double-sequence upper witness
+        "{1/n} U {3/n}",  # equal limits: the witness is split in two
+    ],
+)
+def test_split_three_partitions_the_set(text):
+    s = parse(text)
+    a, b, c, lo, hi = split_three(s)
+    pa, pb, pc = _prefix(a, 300), _prefix(b, 300), _prefix(c, 300)
+    for part in (pa, pb, pc):
+        assert len(set(part)) == len(part)
+        assert all(contains_point(s, v) for v in part)
+    assert not set(pa) & set(pb)
+    assert not set(pc) & (set(pa) | set(pb))
+    # a remainder value is never one a witness would emit later either
+    assert not [v for v in pc if a.contains(v) or b.contains(v)]
+    # a value the prefixes miss must be one a witness emits later, at the
+    # index its membership test found ({1/2^n} reaches {1/n} at n = 2^k)
+    pulled = set(pa) | set(pb) | set(pc)
+    canon = enumerate_points(s, 100)
+    missing = [v for v in canon if v not in pulled and not (a.contains(v) or b.contains(v))]
+    assert not missing
+
+
 def test_enumerate_with_mean_converges():
     st = enumerate_with_mean(H1, F(7, 10))
     for _ in range(100_000):

@@ -72,6 +72,15 @@ def test_zero_denominator_and_empty_operand(argv, code, capsys):
     assert doc["reason"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["eval", "ideal:bogus", "{1/n}"], ["topology", "limits:bogus", "{1/n}"]]
+)
+def test_unknown_ideal_kind(argv, capsys):
+    assert cli.main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"reason": "unknown ideal kind 'bogus'", "status": "undefined"}
+
+
 def test_meanset_axs_schema():
     code, out = run_cli("meanset", "axs", "{1/n} U {1 - 1/n} U {5 + 1/n}")
     doc = json.loads(out)

@@ -7,8 +7,11 @@ import pytest
 
 from setmeans import (
     Affine,
+    Finite,
     Ideal,
     InIdeal,
+    Interval,
+    IntervalSet,
     NotIsolatedDense,
     SetMeansError,
     Unsupported,
@@ -21,15 +24,21 @@ from setmeans import (
     enumerate_points,
     hausdorff_distance,
     ideal_limits,
+    delta_schedule,
     isolated_outside,
+    mean_iso,
+    ms_as,
+    ms_axs,
     normalize_affine,
     parse,
     render,
     split_at,
+    union,
 )
+from setmeans.setexpr import leaves
 from setmeans.topology import is_empty_expr
 
-from gen import random_bounded, random_countable, random_rat
+from gen import random_bounded, random_countable, random_finite, random_rat
 
 H1 = parse("{1/n} U {1 + 1/n}")
 H3 = parse("{1/n} U {1 + 1/n + 1/k}")
@@ -260,6 +269,45 @@ def test_isolated_brute_oracle():
         assert got <= brute
         for x in brute - got:
             assert min(abs(x - a) for a in accs) < delta * F(11, 10)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except SetMeansError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _iso_result(s):
+    out = _result(mean_iso, s, delta_schedule(end_exp=12))
+    if isinstance(out, tuple):
+        return out
+    return out.status, None if out.value is None else out.value.hex(), out.trace
+
+
+def _split_points(leaf):
+    """A finite leaf as one leaf per point; any other leaf as itself."""
+    return [Finite((p,)) for p in leaf.points] if isinstance(leaf, Finite) else [leaf]
+
+
+def test_one_point_interval_reads_as_its_point():
+    assert mean_iso(parse("[1,1] U {1/n}")) == mean_iso(parse("{1} U {1/n}"))
+    assert isolated_outside(parse("[1,1] U {1/n}"), F(1, 8)) == [F(1, n) for n in range(8, 0, -1)]
+    rng = Random(73)
+    for _ in range(25):
+        ls = [*leaves(random_countable(rng, max_parts=2)), random_finite(rng)]
+        rng.shuffle(ls)
+        # one leaf per point, so both sets add their points in one order
+        parts = [p for leaf in ls for p in _split_points(leaf)]
+        twin = [
+            IntervalSet(Interval(p.points[0], p.points[0])) if isinstance(p, Finite) else p
+            for p in parts
+        ]
+        s, twin = union(*parts), union(*twin)
+        assert _iso_result(twin) == _iso_result(s)
+        assert _result(isolated_outside, twin, F(1, 8)) == _result(isolated_outside, s, F(1, 8))
+        assert _result(ms_as, twin) == _result(ms_as, s)
+        assert _result(ms_axs, twin) == _result(ms_axs, s)
 
 
 def test_hausdorff_examples():
