@@ -440,7 +440,6 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
     first, rest = (a, b) if alpha <= Fraction(1, 2) else (b, a)
     gamma = params.gamma
     target = alpha * a.mean + (1 - alpha) * b.mean
-    counters = {"first_draws": 0, "total": 0}
 
     def it():
         m = 2  # the next block whose first index is pending
@@ -448,13 +447,11 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
         i = 1
         while True:
             if i == next_first:
-                counters["first_draws"] += 1
                 yield first.pull()
                 next_first = max(math.ceil((m - 1) * gamma), i + 1)
                 m += 1
             else:
                 yield rest.pull()
-            counters["total"] += 1
             i += 1
 
     def cert(eps: Fraction) -> int:

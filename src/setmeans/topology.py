@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import (
     SemanticError,
     Unsupported,
 )
-from .measure import _positive_intervals
+from .measure import _positive_intervals, neighborhood
 from .setexpr import (
     Affine,
     Cantor,
@@ -642,60 +643,11 @@ def _check_isolated_dense(ls):
             )
 
 
-@dataclass(frozen=True)
-class _AccComponent:
-    """One component of H' for exact distance queries."""
-
-    kind: str  # 'point' | 'family'
-    value: Rat | None = None
-    limit: Rat | None = None
-    tf: TermFun | None = None
-
-
-def _acc_components(s: SetExpr) -> list[_AccComponent]:
-    comps = []
-    for leaf in leaves(derived_set(s)):
-        if isinstance(leaf, Finite):
-            comps.extend(_AccComponent("point", value=p) for p in leaf.points)
-        elif isinstance(leaf, Seq):
-            comps.append(_AccComponent("family", limit=leaf.limit, tf=leaf.tail))
-            comps.append(_AccComponent("point", value=leaf.limit))
-        else:  # pragma: no cover - derived sets of countable sets
-            raise Unsupported(f"unexpected derived leaf {leaf!r}")
-    return comps
-
-
-def _dist_to_component(comp: _AccComponent, x: Rat) -> Rat:
-    if comp.kind == "point":
-        return abs(x - comp.value)
-    tf, L = comp.tf, comp.limit
-    t = x - L
-    # |t| is the distance to the family's limit, which always belongs to the
-    # closed accumulation set, so using it as a floor never overstates.
-    best = abs(t)
-    m = tf_monotone_index(tf)
-    for n in range(tf.start, m + 1):
-        d = abs(t - tf_value(tf, n))
-        if d < best:
-            best = d
-    sign = tf_eventual_sign(tf)
-    if t != 0 and (t > 0) == (sign > 0):
-        if sign < 0:
-            tf = tf_scale(tf, -1)
-            t = -t
-        lo = m + 1
-        n = _tail_index(lambda n: tf_cmp(tf, n, t) <= 0, lo)
-        for cand in (n - 1, n):
-            if cand >= lo:
-                best = min(best, abs(t - tf_value(tf, cand)))
-    return best
-
-
 def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
-    """Yield (id, main, tinies, float value) for points that could survive."""
+    """Yield (main, tinies, float value) for points that could survive."""
     if isinstance(leaf, Finite):
         for p in leaf.points:
-            yield ("f", p), p, (), float(p)
+            yield p, (), float(p)
         return
     if isinstance(leaf, Seq):
         tf = leaf.tail
@@ -705,51 +657,32 @@ def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
         for n in range(tf.start, cutoff):
             main, tinies = tf_value_parts(tf, n)
             total = leaf.limit + main
-            yield ("s", n), total, tinies, float(total)
+            yield total, tinies, float(total)
         return
     if isinstance(leaf, Seq2):
         n_cut = tf_abs_below_index(leaf.outer, delta)
         k_cut = tf_abs_below_index(leaf.inner, delta)
         if (n_cut - leaf.outer.start) * max(k_cut - leaf.inner.start, 1) > budget:
             raise BudgetExceeded("isolated point budget exhausted")
+        inner = [tf_value_parts(leaf.inner, k) for k in range(leaf.inner.start, k_cut)]
+        inner = [(gm, gt) for gm, gt in inner if abs(gm) >= delta]
         for n in range(leaf.outer.start, n_cut):
             fm, ft = tf_value_parts(leaf.outer, n)
             if abs(fm) < delta:
                 continue
-            for k in range(leaf.inner.start, k_cut):
-                gm, gt = tf_value_parts(leaf.inner, k)
-                if abs(gm) >= delta:
-                    total = leaf.limit + fm + gm
-                    yield (n, k), total, ft + gt, float(total)
+            base = leaf.limit + fm
+            for gm, gt in inner:
+                total = base + gm
+                yield total, ft + gt, float(total)
         return
     raise NotIsolatedDense("set is not the closure of its isolated points")
-
-
-def _survives(main: Rat, tinies, comps, delta: Rat) -> bool:
-    """Exact test: distance from the candidate to every component >= delta."""
-    for c in comps:
-        if c.kind == "point":
-            p = c.value
-            # excluded iff p - delta < x < p + delta
-            if parts_cmp(main, tinies, p - delta) > 0 and parts_cmp(
-                main, tinies, p + delta
-            ) < 0:
-                return False
-        else:
-            if tinies:
-                raise ArithmeticError(
-                    "family distance with symbolic tails is not supported"
-                )
-            if _dist_to_component(c, main) < delta:
-                return False
-    return True
 
 
 def _iter_unique_candidates(ls, delta: Rat, budget: int):
     """All candidates across leaves, each distinct value exactly once."""
     seen: set = set()
     for leaf in ls:
-        for _id, main, tinies, xf in _leaf_candidates_exact(leaf, delta, budget):
+        for main, tinies, xf in _leaf_candidates_exact(leaf, delta, budget):
             key = (main, tiny_signature(tinies))
             if key in seen:
                 continue
@@ -757,44 +690,69 @@ def _iter_unique_candidates(ls, delta: Rat, budget: int):
             yield main, tinies, xf
 
 
+def _survivors(s: SetExpr, ls, delta: Rat, budget: int):
+    """(main, tinies, float value) of each distinct candidate point of H
+    outside the open zone neighborhood(derived_set(s), delta), in candidate
+    order.
+
+    The zone is the union of the open delta-balls around H': read at scale
+    2*delta, a family's chained tail and its limit give one open interval.
+    Its parts are open and disjoint, so a candidate x lies in the zone iff
+    the last part with lo < x has x < hi; a float bisect finds that part and
+    exact comparisons settle it.  The zone may cost `budget` parts.
+    """
+    zone = neighborhood(derived_set(s), delta, budget).parts
+    los = [float(p.lo) for p in zone]
+    for main, tinies, xf in _iter_unique_candidates(ls, delta, budget):
+        # float() is monotone, so the part sits next to the bisect point;
+        # the loops only move when a float tie or a tiny tail hides it
+        i = bisect_right(los, xf)
+        while i < len(zone) and parts_cmp(main, tinies, zone[i].lo) > 0:
+            i += 1
+        while i > 0 and parts_cmp(main, tinies, zone[i - 1].lo) <= 0:
+            i -= 1
+        if i == 0 or parts_cmp(main, tinies, zone[i - 1].hi) >= 0:
+            yield main, tinies, xf
+
+
 def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Rat]:
-    """The finite set of points of H at distance >= delta from every
-    accumulation point (H minus the open delta-neighbourhood of H')."""
+    """The finite set of points of H outside neighborhood(derived_set(s),
+    delta), the open delta-neighbourhood of the accumulation set H': a point
+    at distance exactly delta from H' stays."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     ls = _point_leaves(s)
     _check_isolated_dense(ls)
-    comps = _acc_components(s)
     out: list[Rat] = []
-    for main, tinies, _xf in _iter_unique_candidates(ls, delta, budget):
-        if _survives(main, tinies, comps, delta):
-            if tinies:
-                raise BudgetExceeded(
-                    "exact isolated points would need untractable precision"
-                )
-            out.append(main)
-            if len(out) > budget:
-                raise BudgetExceeded("isolated point budget exhausted")
+    for main, tinies, _xf in _survivors(s, ls, delta, budget):
+        if tinies:
+            raise BudgetExceeded(
+                "exact isolated points would need untractable precision"
+            )
+        out.append(main)
+        if len(out) > budget:
+            raise BudgetExceeded("isolated point budget exhausted")
     return sorted(out)
 
 
 def isolated_stats(s: SetExpr, delta: Rat, budget: int = 10_000_000) -> tuple[int, float]:
-    """(count, uncompensated float sum) of H - S(H', delta)."""
+    """(count, uncompensated float sum) of H minus the open delta-ball zone
+    neighborhood(derived_set(s), delta); a point at distance exactly delta
+    from H' counts.
+
+    Without a double-sequence leaf H' is finite and each leaf is summed in
+    closed form; otherwise every candidate is tested against the zone.
+    """
     ls = _point_leaves(s)
     _check_isolated_dense(ls)
-    comps = _acc_components(s)
-    simple = all(c.kind == "point" for c in comps) and all(
-        isinstance(l, (Finite, Seq)) for l in ls
-    )
-    if not simple:
+    if any(isinstance(l, Seq2) for l in ls):
         count = 0
         total = 0.0
-        for main, tinies, xf in _iter_unique_candidates(ls, delta, min(budget, 400_000)):
-            if _survives(main, tinies, comps, delta):
-                count += 1
-                total += xf
+        for _main, _tinies, xf in _survivors(s, ls, delta, min(budget, 400_000)):
+            count += 1
+            total += xf
         return count, total
-    points = [c.value for c in comps]
+    points = [p for leaf in leaves(derived_set(s)) for p in leaf.points]
     skips = _build_skips(ls, delta)
     count = 0
     total = 0.0

@@ -81,6 +81,18 @@ def test_unknown_ideal_kind(argv, capsys):
     assert doc == {"reason": "unknown ideal kind 'bogus'", "status": "undefined"}
 
 
+# a symbolic tail, (9/10)^(64^n) from n = 3 on, beside a family of H'
+SYMBOLIC_BESIDE_FAMILY = "{1/n + (9/10)^(64^n)} U {2 + 1/n + 1/k}"
+
+
+@pytest.mark.parametrize("argv", [["eval", "iso"], ["topology", "isolated:1/8"]])
+def test_isolated_symbolic_tail_beside_family(argv):
+    code, out = run_cli(*argv, SYMBOLIC_BESIDE_FAMILY)
+    doc = json.loads(out)
+    assert code in (0, 1, 2, 3)
+    assert doc["status"]
+
+
 def test_meanset_axs_schema():
     code, out = run_cli("meanset", "axs", "{1/n} U {1 - 1/n} U {5 + 1/n}")
     doc = json.loads(out)

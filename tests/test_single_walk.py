@@ -77,6 +77,13 @@ def test_scale_means_do_not_dispatch_on_leaf_kind():
     assert found == [], found
 
 
+def test_one_isolated_zone():
+    zone = [(mod, name) for mod, name in _callers("neighborhood") if mod == "topology"]
+    assert len(zone) == 1, zone
+    users = [name for mod, name in _callers(zone[0][1]) if mod == "topology"]
+    assert users == ["isolated_outside", "isolated_stats"], users
+
+
 def test_no_function_local_package_imports():
     found = sorted({(mod, fn.name) for mod, fn in _functions() if _imports_package(fn)})
     assert found == [], found

@@ -1,5 +1,6 @@
 """Derived sets, ideal limits, splits, isolated points, Hausdorff distance."""
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -13,6 +14,7 @@ from setmeans import (
     Interval,
     IntervalSet,
     NotIsolatedDense,
+    Seq2,
     SetMeansError,
     Unsupported,
     acc_chain,
@@ -36,9 +38,9 @@ from setmeans import (
     union,
 )
 from setmeans.setexpr import leaves
-from setmeans.topology import is_empty_expr
+from setmeans.topology import is_empty_expr, isolated_stats
 
-from gen import random_bounded, random_countable, random_finite, random_rat
+from gen import random_bounded, random_countable, random_finite, random_rat, random_seq2
 
 H1 = parse("{1/n} U {1 + 1/n}")
 H3 = parse("{1/n} U {1 + 1/n + 1/k}")
@@ -240,6 +242,9 @@ def test_isolated_examples():
     got = isolated_outside(parse("{0,1} U {1/n} U {1 + 1/2^n}"), F(3, 10))
     assert got == [F(1, 3), F(1, 2), F(3, 2)]
     assert isolated_outside(parse("{0, 5}"), F(1)) == [F(0), F(5)]
+    # 7/4 = 1 + 1/2 + 1/4 is exactly 1/4 from both 3/2 and 2 in H'
+    got = isolated_outside(parse("{1 + 1/n + 1/k}"), F(1, 4))
+    assert got == [F(7, 4), F(9, 4), F(7, 3), F(5, 2), F(3)]
     with pytest.raises(NotIsolatedDense):
         isolated_outside(parse("[0,1]"), F(1, 4))
 
@@ -269,6 +274,47 @@ def test_isolated_brute_oracle():
         assert got <= brute
         for x in brute - got:
             assert min(abs(x - a) for a in accs) < delta * F(11, 10)
+
+
+def _seq2_sets(rng, n):
+    """Countable sets with at least one double-sequence leaf."""
+    for i in range(n):
+        s = random_countable(rng, allow_seq2=True)
+        if not any(isinstance(leaf, Seq2) for leaf in leaves(s)):
+            s = union(s, random_seq2(rng))
+        yield s
+
+
+def test_isolated_family_monotone_in_delta():
+    rng = Random(79)
+    for s in _seq2_sets(rng, 40):
+        big = F(1, rng.randint(2, 6))
+        small = big / rng.randint(2, 4)
+        assert set(isolated_outside(s, big)) <= set(isolated_outside(s, small))
+
+
+def test_isolated_family_brute_oracle():
+    rng = Random(83)
+    for s in _seq2_sets(rng, 30):
+        delta = F(1, rng.randint(3, 10))
+        got = set(isolated_outside(s, delta))
+        pts = enumerate_points(s, 6000)
+        accs = enumerate_points(normalize_affine(derived_set(s)), 600)
+        brute = {x for x in pts if all(abs(x - a) >= delta for a in accs)}
+        assert got <= set(pts), "an isolated point beyond the enumerated prefix"
+        assert got <= brute
+        for x in brute - got:
+            assert min(abs(x - a) for a in accs) < delta * F(11, 10)
+
+
+def test_isolated_stats_matches_outside():
+    rng = Random(89)
+    for s in _seq2_sets(rng, 40):
+        delta = F(1, rng.randint(2, 16))
+        pts = isolated_outside(s, delta)
+        count, total = isolated_stats(s, delta)
+        assert count == len(pts)
+        assert abs(total - math.fsum(map(float, pts))) <= 1e-9 * sum(abs(float(x)) for x in pts)
 
 
 def _result(fn, *args):
