@@ -38,9 +38,9 @@ from .terms import (
     tf_add,
     tf_monotone_index,
     tf_single_pow,
+    tf_tracked_until,
     tf_value,
     tf_value_float,
-    tf_value_parts,
 )
 from .topology import Ideal, ideal_limits
 
@@ -51,8 +51,11 @@ class ValueStream:
     """Single-consumer injective stream with exact bookkeeping.
 
     Emits floats; the exact value is kept alongside while its size stays
-    tractable.  The running sum is maintained exactly while feasible and as
-    a plain floating-point sum always.
+    tractable.  A sequence leaf's element is built from one reduced integer
+    pair, and goes float-only from the first index at which a term of its
+    tail is too deep to evaluate exactly (see `_seq_iter`).  The running sum
+    is maintained exactly while feasible and as a plain floating-point sum
+    always.
     """
 
     def __init__(
@@ -134,23 +137,39 @@ def _exact_if_small(x: Fraction) -> Fraction | None:
 
 
 def _seq_iter(limit: Rat, tf: TermFun, skip_indices: frozenset[int]):
-    pw = tf_single_pow(tf)
+    """(float, exact) rows of limit + tf(n) for n >= tf.start outside
+    skip_indices.
+
+    A single-power tail limit + c/n^p is one integer pair per element,
+    (ln·cd·n^p + cn·ld) / (ld·cd·n^p): the Fraction built from it is the
+    reduced exact value, and the reduced pair's true division is its float,
+    bit for bit float(Fraction).  Any other tail is exact while every term is
+    tracked, and float-only from tf_tracked_until on.
+    """
     n = tf.start
+    pw = tf_single_pow(tf)
     if pw is not None:
-        num, den, p = pw.c.numerator, pw.c.denominator, pw.p
+        exact_bits = _EXACT_BITS
+        ln, ld = limit.numerator, limit.denominator
+        cn, cd, p = pw.c.numerator, pw.c.denominator, pw.p
+        top, add, bottom = ln * cd, cn * ld, ld * cd
         while True:
             if n not in skip_indices:
-                v = limit + Fraction(num, den * n**p)
-                yield float(v), _exact_if_small(v)
+                np_ = n**p
+                v = Fraction(top * np_ + add, bottom * np_)
+                num, den = v.numerator, v.denominator
+                yield num / den, v if num.bit_length() + den.bit_length() <= exact_bits else None
             n += 1
+    until = tf_tracked_until(tf)
+    while until is None or n < until:
+        if n not in skip_indices:
+            v = limit + tf_value(tf, n)
+            yield float(v), _exact_if_small(v)
+        n += 1
+    limit_f = float(limit)
     while True:
         if n not in skip_indices:
-            main, tinies = tf_value_parts(tf, n)
-            if tinies:
-                yield tf_value_float(tf, n) + float(limit), None
-            else:
-                v = limit + main
-                yield float(v), _exact_if_small(v)
+            yield tf_value_float(tf, n) + limit_f, None
         n += 1
 
 
@@ -438,8 +457,9 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
     if a.mean is None or b.mean is None:
         raise NoWitness("weighted merging needs both stream means")
     first, rest = (a, b) if alpha <= Fraction(1, 2) else (b, a)
-    gamma = params.gamma
+    gamma = Fraction(params.gamma)
     target = alpha * a.mean + (1 - alpha) * b.mean
+    gn, gd = gamma.numerator, gamma.denominator
 
     def it():
         m = 2  # the next block whose first index is pending
@@ -448,7 +468,8 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
         while True:
             if i == next_first:
                 yield first.pull()
-                next_first = max(math.ceil((m - 1) * gamma), i + 1)
+                # block m starts at ceil((m - 1) * gamma), by floor division
+                next_first = max(-((1 - m) * gn // gd), i + 1)
                 m += 1
             else:
                 yield rest.pull()

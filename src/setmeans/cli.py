@@ -217,6 +217,8 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
+    if args.terms < 1:
+        raise ValueError(f"--terms must be positive, got {args.terms}")
     s = parse(args.set)
     if args.divergent:
         p = rat(args.p) if args.p else None

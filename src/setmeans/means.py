@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import eq
 
-from .core import Interval, Rat, arithmetic_mean, avg_iu
+from .core import Interval, Rat, arithmetic_mean, avg_iu, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -562,8 +562,7 @@ def mean_eds(
         sched = grid_schedule()
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
-    if base is None:
-        base = default_base(s)
+    base = default_base(s) if base is None else (rat(base[0]), rat(base[1]))
 
     def evaluate(param):
         n = int(param)

@@ -284,6 +284,18 @@ def tf_value(tf: TermFun, n: int) -> Fraction:
     return tf_value_parts(tf, n)[0]
 
 
+def tf_tracked_until(tf: TermFun) -> int | None:
+    """First index at which tf_value_parts carries some term as a tiny, or
+    None when every term is a power and every value is exact.  A non-power
+    term's exponent cost only grows with n, so no term is tracked again."""
+    deep = [
+        first_index(lambda n, t=t: _term_cost_bits(t, n) > TRACK_BITS, 1)
+        for t in tf.terms
+        if not isinstance(t, PowTerm)
+    ]
+    return min(deep) if deep else None
+
+
 def tf_value_float(tf: TermFun, n: int) -> float:
     return sum(_term_value_float(t, n) for t in tf.terms)
 

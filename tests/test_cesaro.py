@@ -1,5 +1,6 @@
 """Constructive rearrangements: merge lemmas, prescribed means, divergence."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,9 @@ from setmeans import (
     PowTerm,
     GeoTerm,
 )
+from setmeans import cesaro, terms
 from setmeans.setexpr import Dense, Seq, contains_point, union
+from setmeans.terms import DoubleGeoTerm, tf_value_float, tf_value_parts
 
 H1 = parse("{1/n} U {1 + 1/n}")
 L = parse("{1/n} U {2 + 1/2^n}")
@@ -133,6 +136,60 @@ def test_merge_weighted_ratio_accounting():
     # drawn counts track the prescribed frequencies within one block
     assert abs(a.emitted_count - 0.3 * n) <= 2
     assert abs(d.running_mean() - 0.7) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [F(3, 10), F(5, 7), F(1, 3), F(2, 5)])
+def test_merge_weighted_block_starts(alpha):
+    # first-stream draws sit at ceil((m - 1) * gamma), one per block; values
+    # up to 1 come from the stream with mean 0, the rest from the other
+    params = MergeParams(alpha)
+    d = merge_weighted(_harmonic_stream(0), _harmonic_stream(1), params)
+    low_first = alpha <= F(1, 2)
+    drawn = [i for i in range(1, 3001) if (d.pull()[0] <= 1) == low_first]
+    want = [1]
+    for m in range(2, len(drawn) + 1):
+        want.append(max(math.ceil((m - 1) * params.gamma), want[-1] + 1))
+    assert drawn == want
+
+
+def _reference_rows(limit, tf, skip, count):
+    """The per-element Fraction path: limit + tf(n) exact while no term is
+    carried as a tiny, the float sum once one is."""
+    rows, n = [], tf.start
+    while len(rows) < count:
+        if n not in skip:
+            main, tinies = tf_value_parts(tf, n)
+            if tinies:
+                rows.append((tf_value_float(tf, n) + float(limit), None))
+            else:
+                v = limit + main
+                rows.append((float(v), cesaro._exact_if_small(v)))
+        n += 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "limit, tf, skip, exact_bits",
+    [
+        (F(1, 3), term_fun([PowTerm(F(-2, 3), 40)], 3), {5, 9, 40}, 400),
+        (2, term_fun([PowTerm(5, 1)]), set(), 12),
+        (F(-1, 2), term_fun([PowTerm(F(7, 5), 2)], 7), {8}, 30),
+        (F(2), term_fun([GeoTerm(F(1), F(1, 2))]), {3, 150}, 150),
+        (F(1, 3), term_fun([DoubleGeoTerm(F(-1), F(2, 3), 2)], 2), set(), 100),
+        (1, term_fun([PowTerm(F(1), 1), GeoTerm(F(3), F(1, 3))], 2), {4}, 100),
+    ],
+)
+def test_seq_rows_match_the_fraction_path(monkeypatch, limit, tf, skip, exact_bits):
+    # low budgets put the tracked/untracked and exact/None crossovers inside
+    # the first few hundred indices
+    monkeypatch.setattr(terms, "TRACK_BITS", 300)
+    monkeypatch.setattr(cesaro, "_EXACT_BITS", exact_bits)
+    it = cesaro._seq_iter(limit, tf, frozenset(skip))
+    got = [next(it) for _ in range(400)]
+    want = _reference_rows(limit, tf, skip, 400)
+    assert [f.hex() for f, _ in got] == [f.hex() for f, _ in want]
+    assert [e for _, e in got] == [e for _, e in want]
+    assert any(e is None for _, e in want) and any(e is not None for _, e in want)
 
 
 def test_merge_weighted_endpoint():

@@ -144,6 +144,16 @@ def test_rearrange_csv(tmp_path):
     assert int(first[0]) == 1
 
 
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_rearrange_nonpositive_terms_is_usage_error(terms, capsys):
+    argv = ["rearrange", "{1/n} U {1 + 1/n}", "--target", "0.7", "--terms", terms]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == "error" and "--terms" in doc["reason"]
+
+
 def test_topology_commands():
     code, out = run_cli("topology", "derived", "{1/n} U {1 + 1/n}")
     assert code == 0 and "result" in json.loads(out)

@@ -219,6 +219,13 @@ def test_mean_eds_base_invariance_spot():
     assert abs(a.value - b.value) <= 10 * (a.err_est + b.err_est) + 1e-3
 
 
+def test_mean_eds_int_base_matches_fraction_base():
+    # the base is coerced to exact rationals, so an int base reads the same
+    # grids as the Fraction base (this set's plateau outcome is left as is)
+    s = parse("{1/2^(2^n)}")
+    assert mean_eds(s, base=(0, 1)) == mean_eds(s, base=(F(0), F(1)))
+
+
 def test_finite_independence_spot():
     # adjoining a finite set must not move these means
     from setmeans import Union, Finite
