@@ -48,14 +48,14 @@ _EXACT_BITS = 4096
 
 
 class ValueStream:
-    """Single-consumer injective stream with exact bookkeeping.
+    """Single-consumer injective stream of (float, exact) rows.
 
     Emits floats; the exact value is kept alongside while its size stays
     tractable.  A sequence leaf's element is built from one reduced integer
     pair, and goes float-only from the first index at which a term of its
-    tail is too deep to evaluate exactly (see `_seq_iter`).  The running sum
-    is maintained exactly while feasible and as a plain floating-point sum
-    always.
+    tail is too deep to evaluate exactly (see `_seq_iter`).  The stream
+    keeps a count and a plain floating-point running sum of what it has
+    emitted, and no exact sum.
     """
 
     def __init__(
@@ -77,7 +77,6 @@ class ValueStream:
         self.label = label
         self.emitted_count = 0
         self.partial_sum_float = 0.0
-        self.partial_sum_exact: Fraction | None = Fraction(0)
 
     def elem_rate(self, eps: Fraction) -> int:
         if self._elem_rate is None:
@@ -98,17 +97,6 @@ class ValueStream:
         f, e = next(self._it)
         self.emitted_count += 1
         self.partial_sum_float += f
-        if self.partial_sum_exact is not None:
-            # exact bookkeeping is kept only while cheap: common denominators
-            # of decaying sequences grow exponentially with the prefix length
-            if (
-                e is not None
-                and self.emitted_count <= 2000
-                and self.partial_sum_exact.denominator.bit_length() < 6000
-            ):
-                self.partial_sum_exact = self.partial_sum_exact + e
-            else:
-                self.partial_sum_exact = None
         return f, e
 
     def running_mean(self) -> float:
@@ -570,29 +558,6 @@ def _seq_collision_indices(dst: Seq, src: Seq) -> set[int]:
     return out
 
 
-def _subsample(src: ValueStream, parity: int) -> ValueStream:
-    """Every other element of src; keeps the mean and the rate envelope
-    (the n-th emitted element has an original index of at least n).  The
-    other elements are dropped, so src must have no other reader."""
-
-    def it():
-        idx = 0
-        while True:
-            f, e = src.pull()
-            if idx % 2 == parity:
-                yield f, e
-            idx += 1
-
-    return ValueStream(
-        it(),
-        mean=src.mean,
-        elem_rate=src._elem_rate,
-        mean_cert=src._mean_cert,
-        dev_bound=src.dev_bound,
-        label=f"{src.label}-{'even' if parity == 0 else 'odd'}",
-    )
-
-
 def interleave(x: ValueStream, y: ValueStream, label="interleave") -> ValueStream:
     """Round-robin merge of two disjoint streams (no mean bookkeeping)."""
 
@@ -612,29 +577,39 @@ def interleave(x: ValueStream, y: ValueStream, label="interleave") -> ValueStrea
     return ValueStream(it(), label=label)
 
 
-def split_three(s: SetExpr):
-    """Three disjoint streams covering s exactly: one converging to the
-    lower limit, one to the upper limit, and the remainder.  Also returns
-    the two limits.  With equal limits the single witness is split into its
-    even- and odd-indexed halves."""
+def _limits(s: SetExpr) -> tuple[Rat, Rat]:
+    """The lower and upper limits of a set that can be rearranged."""
     if not is_countably_infinite(s):
         raise NoWitness("rearrangements need a countably infinite set")
-    ls = leaves(s)
-    lo, hi = ideal_limits(s, Ideal.FINITE_SETS)
+    return ideal_limits(s, Ideal.FINITE_SETS)
+
+
+def _lower_witness(ls, lo: Rat):
+    """The backing and stream of a witness converging to the lower limit,
+    and the set of leaves it consumes whole."""
     got = _witness_backing(ls, lo)
     if got is None:
         raise NoWitness("no representable subsequence converges to the lower limit")
-    a_back, a_leaf, a_full = got
-    a = _stream_from_backing(a_back, label="witness-lo")
-    consumed = {a_leaf} if a_full else set()
-    if hi == lo:
-        # each half reads its own copy of the witness: a half drops the
-        # elements of the other parity, so one shared copy would lose them.
-        # Equal limits rule out a dense filler, whose two ends are distinct
-        # limits, so the witness is a sequence and the copies test alike.
-        twin = _stream_from_backing(a_back, label="witness-lo")
-        c = _remainder(ls, consumed, (a.contains,))
-        return _subsample(a, 0), _subsample(twin, 1), c, lo, hi
+    back, leaf, full = got
+    return back, _stream_from_backing(back, label="witness-lo"), {leaf} if full else set()
+
+
+def _remainder(ls, consumed: set[int], witnesses) -> ValueStream:
+    """The canonical stream of the leaves no witness consumes whole.  A
+    witness may own values of those leaves too (a partial witness shares its
+    leaf, and leaves may overlap): those stay with it."""
+    return canonical_stream(union(*_emptied(ls, consumed)), tuple(w.contains for w in witnesses))
+
+
+def split_three(s: SetExpr):
+    """Three disjoint streams covering s exactly: one converging to the
+    lower limit, one to the upper limit, and the remainder.  Also returns
+    the two limits, which must be distinct: equal limits raise Degenerate."""
+    lo, hi = _limits(s)
+    if lo == hi:
+        raise Degenerate("equal lower and upper limits admit no oscillation")
+    ls = leaves(s)
+    a_back, a, consumed = _lower_witness(ls, lo)
     got = _witness_backing(_emptied(ls, consumed), hi)
     if got is None:
         raise NoWitness("no representable subsequence converges to the upper limit")
@@ -647,20 +622,12 @@ def split_three(s: SetExpr):
         b = _filter_stream(_stream_from_backing(b_back, label="witness-hi"), a.contains)
     if b_full:
         consumed.add(b_leaf)
-    return a, b, _remainder(ls, consumed, (a.contains, b.contains)), lo, hi
+    return a, b, _remainder(ls, consumed, (a, b)), lo, hi
 
 
 def _emptied(ls, consumed: set[int]) -> list[SetExpr]:
     """The leaves, with each leaf that a witness consumes whole made empty."""
     return [Finite(()) if i in consumed else l for i, l in enumerate(ls)]
-
-
-def _remainder(ls, consumed: set[int], owned: tuple[Callable[[Rat], bool], ...]) -> ValueStream:
-    """The canonical stream of the leaves left to the remainder.  A witness
-    may own values of those leaves too (a partial witness shares its leaf,
-    and leaves may overlap), so every value a test in `owned` claims stays
-    with its witness."""
-    return canonical_stream(union(*_emptied(ls, consumed)), owned)
 
 
 def _filter_stream(src: ValueStream, banned) -> ValueStream:
@@ -684,12 +651,21 @@ def _filter_stream(src: ValueStream, banned) -> ValueStream:
 
 def enumerate_with_mean(s: SetExpr, target: Rat) -> ValueStream:
     """Injective exhaustive enumeration of s whose running averages converge
-    to the prescribed value between the lower and upper limits."""
+    to the prescribed value between the lower and upper limits.
+
+    With equal limits that limit is the set's only accumulation point, so
+    every injective enumeration converges to it: the witness converging to
+    it absorbs the rest of the set, with no second witness."""
     target = Fraction(target)
-    a, b, c, lo, hi = split_three(s)
+    lo, hi = _limits(s)
     if not (lo <= target <= hi):
         raise OutOfRange(f"target {target} outside [{lo}, {hi}]")
-    if target == lo:  # the only target when lo == hi
+    if lo == hi:
+        ls = leaves(s)
+        _, a, consumed = _lower_witness(ls, lo)
+        return merge_absorb(a, _remainder(ls, consumed, (a,)), label="rearranged")
+    a, b, c, lo, hi = split_three(s)
+    if target == lo:
         return merge_absorb(a, interleave(b, c), label="rearranged")
     if target == hi:
         return merge_absorb(b, interleave(a, c), label="rearranged")
@@ -704,8 +680,6 @@ def enumerate_divergent(
     """Injective exhaustive enumeration whose running average drops below p
     and rises above q infinitely often."""
     a, b, c, lo, hi = split_three(s)
-    if lo == hi:
-        raise Degenerate("equal lower and upper limits admit no oscillation")
     span = hi - lo
     p = lo + span / 3 if p is None else Fraction(p)
     q = hi - span / 3 if q is None else Fraction(q)
@@ -714,35 +688,28 @@ def enumerate_divergent(
     pf, qf = float(p), float(q)
 
     def it():
-        count = 0
-        total = 0.0
-
-        def emit(stream):
-            nonlocal count, total
-            f, e = stream.pull()
-            count += 1
-            total += f
-            return f, e
-
+        # the bursts read the running mean of the stream they feed, which
+        # has added every value yielded before the generator resumes
         low_stage = True
         while True:
             try:
-                yield emit(c)
+                yield c.pull()
             except StopIteration:
                 pass
             pulls = 0
             if low_stage:
-                while count == 0 or total / count >= pf or pulls == 0:
-                    yield emit(a)
+                while out.emitted_count == 0 or out.running_mean() >= pf or pulls == 0:
+                    yield a.pull()
                     pulls += 1
                     if pulls > burst_cap:
                         raise BudgetExceeded("low burst exceeded its cap")
             else:
-                while count == 0 or total / count <= qf or pulls == 0:
-                    yield emit(b)
+                while out.emitted_count == 0 or out.running_mean() <= qf or pulls == 0:
+                    yield b.pull()
                     pulls += 1
                     if pulls > burst_cap:
                         raise BudgetExceeded("high burst exceeded its cap")
             low_stage = not low_stage
 
-    return ValueStream(it(), label="divergent")
+    out = ValueStream(it(), label="divergent")
+    return out

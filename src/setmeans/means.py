@@ -528,7 +528,7 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
-    a, b = base
+    a, b = rat(base[0]), rat(base[1])
     if a >= b:
         raise ValueError("base interval must be nondegenerate")
     lo, hi, lo_att, hi_att = bounds(s)
@@ -562,7 +562,7 @@ def mean_eds(
         sched = grid_schedule()
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
-    base = default_base(s) if base is None else (rat(base[0]), rat(base[1]))
+    base = default_base(s) if base is None else base
 
     def evaluate(param):
         n = int(param)

@@ -14,6 +14,7 @@ from .core import (
     avg_iu,
     iu_measure,
     iu_normalize,
+    rat,
 )
 from .errors import BudgetExceeded, Unsupported, UndefinedMean, ZeroMeasure
 from .setexpr import (
@@ -119,6 +120,7 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
     len(bases) * (len(idx) + 1) + len(hulls) parts, and BudgetExceeded is
     raised when the leaves together cost more than `budget`.
     """
+    delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     parts: list[Interval] = []

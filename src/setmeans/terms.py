@@ -248,8 +248,18 @@ def _term_value_float(t: Term, n: int) -> float:
     if isinstance(t, PowTerm):
         return float(t.c) / float(n) ** t.p
     lr = _log2_rat(t.r)
-    e = n if isinstance(t, GeoTerm) else float(t.s) ** n
-    mag = e * lr
+    if isinstance(t, GeoTerm):
+        mag = n * lr
+    else:
+        try:
+            mag = float(t.s) ** n * lr
+        except OverflowError:
+            # s^n is past float range: log2 of the magnitude s^n·|log2 r|
+            # decides the cut, and below it the magnitude is a float again
+            log_mag = n * math.log2(t.s) + math.log2(-lr) if lr else -math.inf
+            if log_mag > math.log2(1060):
+                return 0.0
+            mag = -(2.0**log_mag)
     if mag < -1060:
         return 0.0
     return float(t.c) * 2.0**mag

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat, iu_normalize, point
+from .core import Interval, Rat, iu_normalize, point, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -226,6 +226,7 @@ def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
 
 def split_at(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
     """(H intersect (-inf, y], H intersect [y, +inf)) in the same algebra."""
+    y = rat(y)
     below, above = zip(*(_split(leaf, y) for leaf in leaves(s)))
     return _drop_empty(below), _drop_empty(above)
 
@@ -719,6 +720,7 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
     """The finite set of points of H outside neighborhood(derived_set(s),
     delta), the open delta-neighbourhood of the accumulation set H': a point
     at distance exactly delta from H' stays."""
+    delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     ls = _point_leaves(s)
@@ -1029,19 +1031,14 @@ def _dist_point_cantor(x: Rat) -> Rat:
 
 
 def _closure_profile(s: SetExpr):
+    """("iu", union) for a closure made of points and intervals, a point
+    being a degenerate part, or ("cantor", alpha, beta) for a mapped C."""
     ls = leaves(closure(s))
-    if all(isinstance(l, Finite) for l in ls):
-        pts = sorted({p for l in ls for p in l.points})
-        if not pts:
-            raise Unsupported("hausdorff distance of an empty set is not defined")
-        return ("finite", pts)
     if all(isinstance(l, (Finite, IntervalSet)) for l in ls):
-        parts = []
-        for l in ls:
-            if isinstance(l, Finite):
-                parts.extend(point(p) for p in l.points)
-            else:
-                parts.append(Interval(l.iv.lo, l.iv.hi))
+        parts = [Interval(l.iv.lo, l.iv.hi) for l in ls if isinstance(l, IntervalSet)]
+        parts += [point(p) for l in ls if isinstance(l, Finite) for p in l.points]
+        if not parts:
+            raise Unsupported("hausdorff distance of an empty set is not defined")
         return ("iu", iu_normalize(parts))
     cmap = cantor_map(ls[0]) if len(ls) == 1 else None
     if cmap is not None:
@@ -1054,17 +1051,7 @@ def _dist_point_finite(x: Rat, pts: list[Rat]) -> Rat:
 
 
 def _dist_point_iu(x: Rat, u) -> Rat:
-    best = None
-    for p in u.parts:
-        if p.lo <= x <= p.hi:
-            return Fraction(0)
-        d = p.lo - x if x < p.lo else x - p.hi
-        best = d if best is None or d < best else best
-    return best
-
-
-def _directed_finite(pts_a, dist_fn) -> Rat:
-    return max(dist_fn(a) for a in pts_a)
+    return min(max(p.lo - x, x - p.hi, Fraction(0)) for p in u.parts)
 
 
 def _directed_iu_to_any(u, dist_fn, breakpoints) -> Rat:
@@ -1073,48 +1060,30 @@ def _directed_iu_to_any(u, dist_fn, breakpoints) -> Rat:
     cands = []
     for p in u.parts:
         cands.append(p.lo)
-        cands.append(p.hi)
-        for b in breakpoints:
-            if p.lo < b < p.hi:
-                cands.append(b)
+        if p.hi != p.lo:
+            cands.append(p.hi)
+            cands.extend(b for b in breakpoints if p.lo < b < p.hi)
     return max(dist_fn(c) for c in cands)
 
 
 def hausdorff_distance(a: SetExpr, b: SetExpr) -> Rat:
     """Exact Hausdorff distance between the closures of a and b.
 
-    Supported pairs: finite/finite, finite/interval-union,
-    interval-union/interval-union, and cantor/finite.
+    Supported pairs: unions of points and intervals, and a cantor set
+    against finitely many points.
     """
     pa = _closure_profile(a)
     pb = _closure_profile(b)
-    kinds = {pa[0], pb[0]}
-    if kinds == {"finite"}:
-        pts_a, pts_b = pa[1], pb[1]
-        d1 = _directed_finite(pts_a, lambda x: _dist_point_finite(x, pts_b))
-        d2 = _directed_finite(pts_b, lambda x: _dist_point_finite(x, pts_a))
+    if pa[0] == pb[0] == "iu":
+        ua, ub = pa[1], pb[1]
+        d1 = _directed_iu_to_any(ua, lambda x: _dist_point_iu(x, ub), _gap_midpoints(ub))
+        d2 = _directed_iu_to_any(ub, lambda x: _dist_point_iu(x, ua), _gap_midpoints(ua))
         return max(d1, d2)
-    if kinds == {"finite", "iu"} or kinds == {"iu"}:
-        profs = {pa[0]: pa, pb[0]: pb}
-        if kinds == {"iu"}:
-            ua, ub = pa[1], pb[1]
-            mids_b = _gap_midpoints(ub)
-            mids_a = _gap_midpoints(ua)
-            d1 = _directed_iu_to_any(ua, lambda x: _dist_point_iu(x, ub), mids_b)
-            d2 = _directed_iu_to_any(ub, lambda x: _dist_point_iu(x, ua), mids_a)
-            return max(d1, d2)
-        pts = profs["finite"][1]
-        u = profs["iu"][1]
-        mids = [(p + q) / 2 for p, q in zip(pts, pts[1:])]
-        d1 = _directed_finite(pts, lambda x: _dist_point_iu(x, u))
-        d2 = _directed_iu_to_any(u, lambda x: _dist_point_finite(x, pts), mids)
-        return max(d1, d2)
-    if kinds == {"cantor", "finite"}:
-        profs = {pa[0]: pa, pb[0]: pb}
+    profs = {pa[0]: pa, pb[0]: pb}
+    if set(profs) == {"cantor", "iu"} and all(p.lo == p.hi for p in profs["iu"][1].parts):
         alpha, beta = profs["cantor"][1], profs["cantor"][2]
-        pts = profs["finite"][1]
-        # map the finite set into base cantor coordinates
-        base_pts = sorted((p - beta) / alpha for p in pts)
+        # map the points into base cantor coordinates
+        base_pts = sorted((p.lo - beta) / alpha for p in profs["iu"][1].parts)
         scale = abs(alpha)
         d1 = scale * max(_dist_point_cantor(p) for p in base_pts)
         # directed cantor -> finite: candidates are cantor extremes around the
@@ -1134,7 +1103,4 @@ def hausdorff_distance(a: SetExpr, b: SetExpr) -> Rat:
 
 
 def _gap_midpoints(u) -> list[Rat]:
-    mids = []
-    for p, q in zip(u.parts, u.parts[1:]):
-        mids.append((p.hi + q.lo) / 2)
-    return mids
+    return [(p.hi + q.lo) / 2 for p, q in zip(u.parts, u.parts[1:])]

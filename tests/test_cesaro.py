@@ -192,6 +192,14 @@ def test_seq_rows_match_the_fraction_path(monkeypatch, limit, tf, skip, exact_bi
     assert any(e is None for _, e in want) and any(e is not None for _, e in want)
 
 
+def test_double_geometric_stream_runs_past_float_range():
+    # 3^n leaves float range near n = 647; the terms are 0.0 long before
+    st = stream_from_seq(parse("{(9/10)^(3^n)}"))
+    rows = [st.pull() for _ in range(2000)]
+    assert rows[-1] == (0.0, None)
+    assert st.emitted_count == 2000
+
+
 def test_merge_weighted_endpoint():
     a = _harmonic_stream(0)
     b = _harmonic_stream(1)
@@ -245,7 +253,6 @@ def _prefix(stream, count):
         "{1/n} U {1/2^n} U {5 + 1/n}",  # a sequence inside the lower witness
         "Q(0,1) U {1/n} U {2 + 1/n}",  # a dense-edge lower witness
         "{1/n} U {1 + 1/n + 1/k}",  # a partial double-sequence upper witness
-        "{1/n} U {3/n}",  # equal limits: the witness is split in two
     ],
 )
 def test_split_three_partitions_the_set(text):
@@ -265,6 +272,34 @@ def test_split_three_partitions_the_set(text):
     canon = enumerate_points(s, 100)
     missing = [v for v in canon if v not in pulled and not (a.contains(v) or b.contains(v))]
     assert not missing
+
+
+@pytest.mark.parametrize("text", ["{1/n} U {3/n}", "{1/n}", "{1/n} U {1/2^n}"])
+def test_equal_limits_absorb_the_rest_into_one_witness(text):
+    # the common limit is the only accumulation point, so one witness
+    # converging to it absorbs the rest of the set: its elements come in
+    # order, with no even/odd split of the witness
+    s = parse(text)
+    st = enumerate_with_mean(s, 0)
+    assert st.mean == 0
+    got = _prefix(st, 200)
+    assert len(set(got)) == len(got) == 200
+    assert all(contains_point(s, v) for v in got)
+    assert set(enumerate_points(parse("{1/n}"), 150)) <= set(got)
+    with pytest.raises(Degenerate):
+        split_three(s)
+
+
+@pytest.mark.parametrize(
+    "text, pulls", [("{1/n} U {1/2^n}", 12_000), ("{1/2^n}", 6000), ("{1/2^(2^n)}", 100)]
+)
+def test_equal_limits_stream_past_exact_values(text, pulls):
+    # the witness turns float-only where its terms grow too deep to
+    # materialize exactly, and keeps running
+    st = enumerate_with_mean(parse(text), 0)
+    for _ in range(pulls):
+        st.pull()
+    assert 0 < st.running_mean() < 0.01
 
 
 def test_enumerate_with_mean_converges():
@@ -309,8 +344,8 @@ def test_partial_sum_checkpoint():
         f, e = st.pull()
         pulled.append(e)
     assert all(e is not None for e in pulled)
-    assert st.partial_sum_exact == sum(pulled, F(0))
-    assert abs(st.partial_sum_float - float(st.partial_sum_exact)) < 1e-9
+    assert st.emitted_count == 500
+    assert abs(st.partial_sum_float - float(sum(pulled, F(0)))) < 1e-9
 
 
 def test_enumerate_divergent_crossings():

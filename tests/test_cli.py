@@ -180,6 +180,22 @@ def test_check_command():
     assert doc["checks"]["roundtrip"] is True
 
 
+def test_rearrange_through_a_double_geometric_tail():
+    # 2^n leaves float range at n = 1024, inside the 5000 terms
+    code, out = run_cli(
+        "rearrange", "{1/2^(2^n)} U {1 + 1/n}", "--target", "0.5", "--terms", "5000"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["terms"] == 5000
+
+
+@pytest.mark.parametrize("text, terms", [("{1/n} U {3/n}", 1000), ("{1/2^(2^n)}", 100)])
+def test_rearrange_with_equal_limits(text, terms):
+    code, out = run_cli("rearrange", text, "--target", "0", "--terms", str(terms))
+    doc = json.loads(out)
+    assert code == 0 and doc["terms"] == terms
+
+
 def test_divergent_exit_code():
     code, out = run_cli(
         "eval", "iso", "{0,1} U {1/n} U {1 + 1/2^n}", "--tol", "1e-3"

@@ -30,9 +30,11 @@ from setmeans import (
     iu_shift,
     map_affine,
     ms_hf,
+    isolated_outside,
     neighborhood,
     normalize_affine,
     parse,
+    split_at,
     Affine,
 )
 from setmeans.means import _cell_of_seq_point, _iv_cells, _lavg_eval_float
@@ -61,6 +63,22 @@ L = parse(L_TEXT)
 
 def _ball(x, delta):
     return Interval(x - delta, x + delta, True, True)
+
+
+@pytest.mark.parametrize(
+    "call, plain, exact",
+    [
+        (lambda v: eds_cells(parse("{1/n}"), 8, v).left_endpoint_mean(), (0, 2), (F(0), F(2))),
+        (lambda v: split_at(parse("{1/n} U [0,1]"), v), 0.5, F(1, 2)),
+        (lambda v: neighborhood(parse("{1/n}"), v), 0.125, F(1, 8)),
+        (lambda v: isolated_outside(parse("{0} U {1/2^n} U {3}"), v), 0.125, F(1, 8)),
+    ],
+    ids=["eds_cells-base", "split_at-y", "neighborhood-delta", "isolated_outside-delta"],
+)
+def test_numeric_arguments_enter_as_fractions(call, plain, exact):
+    # an int or float argument gives the same exact result as its Fraction;
+    # repr tells 0.4375 from Fraction(7, 16), which compare equal
+    assert repr(call(plain)) == repr(call(exact))
 
 
 def test_neighborhood_finite():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from setmeans import (
     Affine,
@@ -386,6 +387,46 @@ def test_hausdorff_iu_pairs():
         )
         assert abs(float(d) - float(brute)) < 0.05
         assert d >= brute - max(a.iv.length, b.iv.length) / 32
+
+
+_END = strategies.integers(-4, 4)
+_SHAPE = strategies.tuples(
+    strategies.lists(_END, max_size=4, unique=True),  # points
+    strategies.lists(  # intervals (lo, hi, lo_open, hi_open)
+        strategies.tuples(_END, _END, strategies.booleans(), strategies.booleans()).filter(
+            lambda t: t[0] < t[1]
+        ),
+        max_size=2,
+    ),
+).filter(lambda shape: shape[0] or shape[1])
+
+
+def _shape_text(points, intervals):
+    parts = ["{" + ", ".join(map(str, points)) + "}"] if points else []
+    for lo, hi, lo_open, hi_open in intervals:
+        parts.append(("(" if lo_open else "[") + f"{lo}, {hi}" + (")" if hi_open else "]"))
+    return " U ".join(parts)
+
+
+def _shape_grid(points, intervals):
+    """The points and every quarter of each closed interval.  The endpoints
+    are integers, so the grid holds every gap midpoint, and the brute-force
+    max-min over two grids is the exact Hausdorff distance."""
+    grid = [F(p) for p in points]
+    for lo, hi, _, _ in intervals:
+        grid += [lo + F(i, 4) for i in range(4 * (hi - lo) + 1)]
+    return grid
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(_SHAPE, _SHAPE)
+def test_hausdorff_oracle_on_points_and_intervals(a, b):
+    ga, gb = _shape_grid(*a), _shape_grid(*b)
+    brute = max(
+        max(min(abs(x - y) for y in gb) for x in ga),
+        max(min(abs(x - y) for y in ga) for x in gb),
+    )
+    assert hausdorff_distance(parse(_shape_text(*a)), parse(_shape_text(*b))) == brute
 
 
 def test_acc_structure_sidedness():
