@@ -9,9 +9,10 @@ interval union is used to report a mean-set, so `MeanSet` is the same type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroMeasure
@@ -154,47 +155,176 @@ EMPTY_UNION = IntervalUnion(())
 MeanSet = IntervalUnion
 
 
-def _float_key(iv: Interval):
-    return float(iv.lo), iv.lo_open
-
-
 def iu_normalize(raw: Iterable[Interval]) -> IntervalUnion:
     """Normalize any collection of intervals to the unique normal form.
 
     Idempotent and insensitive to input order; the point set is unchanged.
     """
-    items = list(raw)
+    return iu_union_shifted(raw)
+
+
+# A float key of an exact endpoint comes from at most three roundings:
+# float(x), float(b) of a shift, and their sum; each is off by at most
+# 2**-53 of its result's magnitude, so |key - exact| <= 2**-52 *
+# (|float(x)| + |float(b)|), plus 2**-1074 per rounding in the subnormal
+# range.  The bounds below take twice that and so also absorb the
+# roundings of key -/+ error.
+_REL = 2.0**-50
+_SUB = 2.0**-1060
+_HUGE = 2.0**1020  # keys below this in magnitude sum to a finite float
+
+
+def _float_mag(x: Rat) -> tuple[float, float]:
+    """float(x) and the magnitude its error scales with; past float range
+    the magnitude is infinite, so every bound built from it is too."""
     try:
-        # float() is monotone, so after a stable presort by (float(lo),
-        # lo_open) the stable sort by the exact lo gives the order of one
-        # sort by (lo, lo_open), in about n exact comparisons
-        items.sort(key=_float_key)
-        items.sort(key=attrgetter("lo"))
-    except OverflowError:  # an endpoint beyond the float range
-        items.sort(key=lambda iv: (iv.lo, iv.lo_open))
+        f = float(x)
+    except OverflowError:
+        return 0.0, math.inf
+    return f, abs(f)
+
+
+def iu_union_shifted(
+    parts: Iterable[Interval], shifted: Iterable[tuple[Sequence[Rat], Sequence[Interval]]] = ()
+) -> IntervalUnion:
+    """The normal form of the union of `parts` and of every part of `run`
+    shifted by b, for each (bases, run) in `shifted` and b in bases; a base
+    None stands for no shift.
+
+    Each endpoint enters as a float key with a certified error bound, and
+    a shifted endpoint as the lazy exact sum p.lo + b: the sweep decides
+    order, joins and reach by the bounds, and builds or compares the exact
+    Fractions only where two bounds overlap, or where an endpoint ends an
+    output part (Shewchuk's filtered predicates).
+    """
+    items = []
+    for bases, run in [((None,), parts), *shifted]:
+        keys = []
+        reach = 0.0
+        for p in run:
+            lo, lo_mag = _float_mag(p.lo)
+            hi, hi_mag = _float_mag(p.hi)
+            keys.append((lo, lo_mag * _REL, hi, hi_mag * _REL, p))
+            reach = max(reach, lo_mag, hi_mag)
+        for b in bases:
+            bf, b_mag = (0.0, 0.0) if b is None else _float_mag(b)
+            if reach + b_mag >= _HUGE:
+                items.extend((-math.inf, math.inf, -math.inf, math.inf, k[4], b) for k in keys)
+                continue
+            e_b = b_mag * _REL + _SUB
+            items.extend(
+                [
+                    (lo + bf - e_lo - e_b, lo + bf + e_lo + e_b,
+                     hi + bf - e_hi - e_b, hi + bf + e_hi + e_b, p, b)
+                    for lo, e_lo, hi, e_hi, p in keys
+                ]
+            )
+    return _sweep(items)
+
+
+def _lo(item) -> Rat:
+    p, b = item[4], item[5]
+    return p.lo if b is None else p.lo + b
+
+
+def _hi(item) -> Rat:
+    p, b = item[4], item[5]
+    return p.hi if b is None else p.hi + b
+
+
+def _sweep(items: list) -> IntervalUnion:
+    """Merge (lo_low, lo_high, hi_low, hi_high, part, base) items, whose
+    exact ends lie within their bounds, into the normal form.
+
+    The items go in order of lo_low.  An item whose lo lies surely below
+    the current run's hi joins it, in any order.  Any other item may start
+    a run, so it and every item whose lo bounds overlap its own are put in
+    the exact order (lo, lo_open) first; items past them start strictly
+    later.  The run's hi is kept as the candidates that may reach furthest,
+    with the bounds [top_low, top_high] of the furthest reach, and is
+    settled exactly only when a join test or the output needs it.
+    """
+    items.sort(key=itemgetter(0))
     out: list[Interval] = []
-    run = None  # the first part of the current run, which reaches hi
-    for iv in items:
-        # iv joins the run unless it starts past hi, or at hi when the
-        # point hi is missing on both sides
-        if run is not None and (iv.lo < hi or (iv.lo == hi and not (hi_open and iv.lo_open))):
-            # a later upper end reaches further; at a tie the closed one does
-            if iv.hi > hi or (iv.hi == hi and hi_open and not iv.hi_open):
-                hi, hi_open = iv.hi, iv.hi_open
+    start = None
+    cands: list = []
+    top_low = top_high = 0.0
+
+    def reach_to(y):
+        """Let y, which joins the run, compete for the run's hi."""
+        nonlocal cands, top_low, top_high
+        if y[2] > top_high:
+            cands = [y]
+            top_low, top_high = y[2], y[3]
+            return
+        cands.append(y)
+        if y[2] > top_low:
+            top_low = y[2]
+            cands = [c for c in cands if c[3] >= top_low]
+        if y[3] > top_high:
+            top_high = y[3]
+
+    def settle():
+        """The run's exact (hi, hi_open) and the item that reaches it."""
+        nonlocal cands, top_low, top_high
+        best = max(cands, key=lambda c: (_hi(c), not c[4].hi_open)) if len(cands) > 1 else cands[0]
+        cands = [best]
+        top_low, top_high = best[2], best[3]
+        return _hi(best), best[4].hi_open, best
+
+    def joins(lo, y) -> bool:
+        """Does y, starting at lo (exact, or None when not built), join the
+        run: it starts before hi, or at hi unless both sides miss it."""
+        if y[1] < top_low:
+            return True
+        if y[0] > top_high:
+            return False
+        hi, hi_open, _ = settle()
+        lo = _lo(y) if lo is None else lo
+        return lo < hi or (lo == hi and not (hi_open and y[4].lo_open))
+
+    def emit():
+        hi, hi_open, best = settle()
+        p = start[4]
+        if best is start and start[5] is None:
+            out.append(p)
+        else:
+            out.append(Interval(_lo(start), hi, p.lo_open, hi_open))
+
+    n = len(items)
+    i = 0
+    while i < n:
+        x = items[i]
+        if start is not None and x[1] < top_low:
+            i += 1
+            if x[3] >= top_low:
+                reach_to(x)
             continue
-        if run is not None:
-            out.append(_reaching(run, hi, hi_open))
-        run, hi, hi_open = iv, iv.hi, iv.hi_open
-    if run is not None:
-        out.append(_reaching(run, hi, hi_open))
+        # x may start a run: order it and its near-ties exactly
+        j = i + 1
+        reach = x[1]
+        while j < n and items[j][0] <= reach:
+            reach = max(reach, items[j][1])
+            j += 1
+        if j == i + 1:
+            cluster = [(None, x)]
+        else:
+            keyed = sorted(((_lo(y), y[4].lo_open, k), y) for k, y in enumerate(items[i:j]))
+            cluster = [(key[0], y) for key, y in keyed]
+        i = j
+        for lo, y in cluster:
+            if start is not None and joins(lo, y):
+                if y[3] >= top_low:
+                    reach_to(y)
+                continue
+            if start is not None:
+                emit()
+            start = y
+            cands = [y]
+            top_low, top_high = y[2], y[3]
+    if start is not None:
+        emit()
     return IntervalUnion(tuple(out))
-
-
-def _reaching(iv: Interval, hi: Rat, hi_open: bool) -> Interval:
-    """iv with its upper end moved to hi."""
-    if hi is iv.hi and hi_open == iv.hi_open:
-        return iv
-    return Interval(iv.lo, hi, iv.lo_open, hi_open)
 
 
 mean_set = iu_normalize
@@ -218,11 +348,13 @@ def avg_iu(u: IntervalUnion) -> Rat:
     return iu_moment(u) / m
 
 
-def iu_shift(u: IntervalUnion, dx: Rat) -> IntervalUnion:
+def iu_shift(u: IntervalUnion, dx: RatLike) -> IntervalUnion:
+    dx = rat(dx)
     return IntervalUnion(tuple(p.shift(dx) for p in u.parts))
 
 
-def iu_scale(u: IntervalUnion, a: Rat) -> IntervalUnion:
+def iu_scale(u: IntervalUnion, a: RatLike) -> IntervalUnion:
+    a = rat(a)
     if a == 0:
         raise ValueError("scale factor must be nonzero")
     parts = [p.scale(a) for p in u.parts]

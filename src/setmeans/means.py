@@ -295,12 +295,16 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
         return exact_outcome(arithmetic_mean(pts))
 
     # the first step runs eagerly, so its domain error or BudgetExceeded
-    # surfaces here; the schedule then takes its result
+    # surfaces here; the schedule then takes its result.  Every step shares
+    # one memo of the delta-independent collision answers.
+    collisions: dict = {}
     first = sched.param(sched.start_exp)
-    eager = {first: isolated_stats(s, first, budget)}
+    eager = {first: isolated_stats(s, first, budget, collisions=collisions)}
 
     def evaluate(delta):
-        count, total = eager.pop(delta, None) or isolated_stats(s, delta, budget)
+        count, total = eager.pop(delta, None) or isolated_stats(
+            s, delta, budget, collisions=collisions
+        )
         if count == 0:
             return None
         return total / count, None

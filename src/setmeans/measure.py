@@ -14,6 +14,7 @@ from .core import (
     avg_iu,
     iu_measure,
     iu_normalize,
+    iu_union_shifted,
     rat,
 )
 from .errors import BudgetExceeded, Unsupported, UndefinedMean, ZeroMeasure
@@ -115,15 +116,18 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
     """The open delta-neighbourhood of the set, as an exact interval union.
 
     Each leaf is read at scale 2*delta (`read_at_scale`): the balls of a
-    run's points and its widened hull are merged once and shifted to each
-    base, and every other hull is widened by delta.  A leaf costs
-    len(bases) * (len(idx) + 1) + len(hulls) parts, and BudgetExceeded is
-    raised when the leaves together cost more than `budget`.
+    run's points and its widened hull are merged once, and the union takes
+    them shifted to each base (`iu_union_shifted` builds a shifted end only
+    where it decides something); every other hull is widened by delta.  A
+    leaf costs len(bases) * (len(idx) + 1) + len(hulls) parts, and
+    BudgetExceeded is raised when the leaves together cost more than
+    `budget`.
     """
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     parts: list[Interval] = []
+    runs = []
     spent = 0
     for leaf in leaves(s):
         bases, tf, idx, run_hull, hulls = read_at_scale(leaf, 2 * delta, budget - spent)
@@ -131,16 +135,15 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
         if bases:
             points = (tf_value(tf, n) for n in idx)
             run = [Interval(v - delta, v + delta, True, True) for v in points]
-            run = iu_normalize(run + [_widen(run_hull, delta)]).parts
-            for b in bases:
-                parts.extend(p.shift(b) for p in run)
+            runs.append((bases, iu_normalize(run + [_widen(run_hull, delta)]).parts))
         parts.extend(_widen(h, delta) for h in hulls)
-    return iu_normalize(parts)
+    return iu_union_shifted(parts, runs)
 
 
 def cantor_neighborhood_stats(alpha: Rat, beta: Rat, delta: Rat) -> tuple[Rat, Rat]:
     """(measure, first moment) of the neighbourhood of an affine cantor set,
     in closed form; the set is symmetric so the average is alpha/2 + beta."""
+    alpha, beta, delta = rat(alpha), rat(beta), rat(delta)
     scale = abs(alpha)
     d0 = delta / scale
     measure0 = 1 + 2 * d0

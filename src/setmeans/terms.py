@@ -171,9 +171,15 @@ def _log2_rat(x: Fraction) -> float:
     if n <= 0:
         raise ValueError("log of nonpositive value")
     try:
-        return math.log2(n) - math.log2(d)
+        lr = math.log2(n) - math.log2(d)
     except OverflowError:  # pragma: no cover - ints beyond float log range
         return (n.bit_length() - d.bit_length()) * 1.0
+    if abs(lr) < 2**-18 and abs(n - d) << 20 < d:
+        # within 2**-20 of 1 the difference loses its digits (it is 0.0
+        # within 2**-53); the float filter keeps the exact test off every
+        # other ratio
+        return math.log1p((n - d) / d) / math.log(2)
+    return lr
 
 
 def cmp_pow_frac(r: Fraction, e: int, q: Fraction) -> int:

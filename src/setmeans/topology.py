@@ -737,13 +737,17 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
     return sorted(out)
 
 
-def isolated_stats(s: SetExpr, delta: Rat, budget: int = 10_000_000) -> tuple[int, float]:
+def isolated_stats(
+    s: SetExpr, delta: Rat, budget: int = 10_000_000, *, collisions: dict | None = None
+) -> tuple[int, float]:
     """(count, uncompensated float sum) of H minus the open delta-ball zone
     neighborhood(derived_set(s), delta); a point at distance exactly delta
     from H' counts.
 
     Without a double-sequence leaf H' is finite and each leaf is summed in
     closed form; otherwise every candidate is tested against the zone.
+    `collisions` keeps the answers to the delta-independent questions of
+    the dedup (`_build_skips`), so calls that share it ask each one once.
     """
     ls = _point_leaves(s)
     _check_isolated_dense(ls)
@@ -755,7 +759,7 @@ def isolated_stats(s: SetExpr, delta: Rat, budget: int = 10_000_000) -> tuple[in
             total += xf
         return count, total
     points = [p for leaf in leaves(derived_set(s)) for p in leaf.points]
-    skips = _build_skips(ls, delta)
+    skips = _build_skips(ls, delta, {} if collisions is None else collisions)
     count = 0
     total = 0.0
     for leaf, skip in zip(ls, skips):
@@ -912,13 +916,34 @@ def _tf_range_sum_float(tf: TermFun, a: int, b: int) -> float:
     return total
 
 
-def _build_skips(leaves, delta: Rat) -> list[set]:
+def _build_skips(leaves, delta: Rat, memo: dict) -> list[set]:
     """Candidate ids to skip per leaf, so shared values count exactly once.
 
     Collisions are resolved structurally: repeated finite points, sequence
     indices hitting a finite point, and equal values between two sequence
     leaves (solved through the monotone tails, never by scanning floats).
+    Which index of a tail takes a value, and a tail's value parts at an
+    index, do not depend on delta: `memo` keeps them across calls.
     """
+
+    def asked(key, question):
+        """question, answering each argument once for all users of memo."""
+        known = memo.setdefault(key, {})
+
+        def ask(arg):
+            if arg not in known:
+                known[arg] = question(arg)
+            return known[arg]
+
+        return ask
+
+    def index_in(leaf: Seq):
+        limit, tf = leaf.limit, leaf.tail
+        return asked(("index", limit, tf), lambda x: _seq_value_index(limit, tf, x))
+
+    def parts_of(tf: TermFun):
+        return asked(("parts", tf), lambda n: tf_value_parts(tf, n))
+
     skips: list[set] = [set() for _ in leaves]
     finite_vals: dict[Rat, int] = {}
     for i, leaf in enumerate(leaves):
@@ -930,9 +955,9 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
                     finite_vals[p] = i
     seq_ids = [i for i, l in enumerate(leaves) if isinstance(l, Seq)]
     for j in seq_ids:
-        leaf = leaves[j]
+        index = index_in(leaves[j])
         for p in finite_vals:
-            idx = _seq_value_index(leaf.limit, leaf.tail, p)
+            idx = index(p)
             if idx is not None:
                 skips[j].add(("s", idx))
     # pairwise sequence overlap: keep the earlier leaf's copy
@@ -953,11 +978,12 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
                 src, dst, dst_idx = A, B, j
             else:
                 src, dst, dst_idx = B, A, i
+            src_parts, dst_index = parts_of(src.tail), index_in(dst)
             for n in range(src.tail.start, src.tail.start + min(cut_a, cut_b)):
-                main, tinies = tf_value_parts(src.tail, n)
+                main, tinies = src_parts(n)
                 if tinies:
                     continue  # symbolic tails handled by signature below
-                hit = _seq_value_index(dst.limit, dst.tail, src.limit + main)
+                hit = dst_index(src.limit + main)
                 if hit is not None:
                     skips[dst_idx].add(("s", hit))
     # symbolic-tail candidates are few; dedup them by exact signature
@@ -965,12 +991,13 @@ def _build_skips(leaves, delta: Rat) -> list[set]:
         leaf = leaves[j]
         cutoff = tf_abs_below_index(leaf.tail, delta)
         lo = leaf.tail.start
+        parts = parts_of(leaf.tail)
         if cutoff - lo > 200:
             # a symbolic tail, once it appears, stays: exponents grow with n
-            has_tiny = lambda n: bool(tf_value_parts(leaf.tail, n)[1])
+            has_tiny = lambda n: bool(parts(n)[1])
             lo = _tail_index(has_tiny, lo) if has_tiny(cutoff - 1) else cutoff
         for n in range(lo, cutoff):
-            main, tinies = tf_value_parts(leaf.tail, n)
+            main, tinies = parts(n)
             if not tinies:
                 continue
             key = (leaf.limit + main, tiny_signature(tinies))

@@ -26,6 +26,15 @@ from setmeans import (
 from gen import random_union_of_intervals
 
 
+def test_shift_and_scale_take_exact_numbers():
+    u = iu_normalize([interval(0, 1, True, False)])
+    assert iu_shift(u, 0.1).parts == (interval(F(0.1), 1 + F(0.1), True, False),)
+    assert iu_scale(u, -0.5).parts == (interval(F(-1, 2), 0, False, True),)
+    mapped = u.map_affine(0.5, 0.25)
+    assert mapped.parts == (interval(F(1, 4), F(3, 4), True, False),)
+    assert all(type(x) is F for p in mapped.parts for x in (p.lo, p.hi))
+
+
 def test_normalize_adjacency_merge():
     u = iu_normalize([interval(0, 1), interval(1, 2)])
     assert len(u) == 1 and u.parts[0] == interval(0, 2)

@@ -72,8 +72,21 @@ def _ball(x, delta):
         (lambda v: split_at(parse("{1/n} U [0,1]"), v), 0.5, F(1, 2)),
         (lambda v: neighborhood(parse("{1/n}"), v), 0.125, F(1, 8)),
         (lambda v: isolated_outside(parse("{0} U {1/2^n} U {3}"), v), 0.125, F(1, 8)),
+        (lambda v: iu_shift(iu_normalize([interval(0, 1)]), v), 0.125, F(1, 8)),
+        (lambda v: iu_scale(iu_normalize([interval(0, 1)]), v), -0.5, F(-1, 2)),
+        (lambda v: iu_normalize([interval(0, 1)]).map_affine(*v), (0.5, 0.25), (F(1, 2), F(1, 4))),
+        (lambda v: cantor_neighborhood_stats(*v), (3, 1, 2**-5), (F(3), F(1), F(1, 32))),
     ],
-    ids=["eds_cells-base", "split_at-y", "neighborhood-delta", "isolated_outside-delta"],
+    ids=[
+        "eds_cells-base",
+        "split_at-y",
+        "neighborhood-delta",
+        "isolated_outside-delta",
+        "iu_shift-dx",
+        "iu_scale-a",
+        "map_affine-alpha-beta",
+        "cantor_neighborhood_stats-all",
+    ],
 )
 def test_numeric_arguments_enter_as_fractions(call, plain, exact):
     # an int or float argument gives the same exact result as its Fraction;

@@ -9,6 +9,11 @@ The next three fail when a scale mean reads a tail or walks cantor pieces
 outside `read_at_scale` (the float `lavg` evaluator keeps its own float
 tail cover), or when `neighborhood` or `eds_cells` dispatches on leaf kind.
 
+Two more keep one interval union: `neighborhood` hands its runs and bases
+to `core.iu_union_shifted`, which builds a shifted end only where it
+decides something, so it calls no `shift`; and `iu_normalize` only hands
+its parts to the same helper, whose `_sweep` is the one merge.
+
 The last fails when a function body imports from the package: `terms`
 imports only `core` and `errors`, so no such import breaks a cycle.
 """
@@ -82,6 +87,23 @@ def test_one_isolated_zone():
     assert len(zone) == 1, zone
     users = [name for mod, name in _callers(zone[0][1]) if mod == "topology"]
     assert users == ["isolated_outside", "isolated_stats"], users
+
+
+def _function(module: str, name: str):
+    (fn,) = [fn for mod, fn in _functions() if mod == module and fn.name == name]
+    return fn
+
+
+def test_neighborhood_shifts_no_part():
+    assert not _calls(_function("measure", "neighborhood"), "shift")
+
+
+def test_one_union_sweep():
+    assert _callers("iu_union_shifted") == [("core", "iu_normalize"), ("measure", "neighborhood")]
+    assert _callers("_sweep") == [("core", "iu_union_shifted")]
+    loops = (ast.For, ast.While, ast.comprehension)
+    normalize = _function("core", "iu_normalize")
+    assert not any(isinstance(node, loops) for node in ast.walk(normalize))
 
 
 def test_no_function_local_package_imports():

@@ -1,5 +1,6 @@
 """Decaying term functions: certificates, resolution searches, comparisons."""
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -7,6 +8,8 @@ import pytest
 
 from setmeans import DoubleGeoTerm, GeoTerm, PowTerm, SemanticError, term_fun
 from setmeans.terms import (
+    _log2_rat,
+    _term_value_float,
     cmp_pow_frac,
     tf_abs_below_index,
     tf_abs_upper,
@@ -156,3 +159,12 @@ def test_cmp_pow_frac():
     assert cmp_pow_frac(F(1, 2), 2**70, F(1, 10**9)) == -1
     assert cmp_pow_frac(F(9, 10), 10**7, F(1, 10**9)) == -1
     assert cmp_pow_frac(F(1, 2), 3, F(2)) == -1
+
+
+def test_double_geometric_ratio_next_to_one():
+    # r^(2^100) = exp(-2^40 * (1 + ...)) for r = 1 - 2^-60: log2(n) - log2(d)
+    # of r rounds to 0.0, log1p keeps it
+    r = F(2**60 - 1, 2**60)
+    assert _log2_rat(r) == pytest.approx(-(2.0**-60) / math.log(2), rel=1e-12)
+    assert _term_value_float(DoubleGeoTerm(F(1), r, 2), 100) == 0.0
+    assert _term_value_float(DoubleGeoTerm(F(1), r, 2), 50) == pytest.approx(math.exp(-(2.0**-10)))

@@ -1,6 +1,7 @@
 """Derived sets, ideal limits, splits, isolated points, Hausdorff distance."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -38,6 +39,7 @@ from setmeans import (
     split_at,
     union,
 )
+from setmeans import means, topology
 from setmeans.setexpr import leaves
 from setmeans.topology import is_empty_expr, isolated_stats
 
@@ -316,6 +318,44 @@ def test_isolated_stats_matches_outside():
         count, total = isolated_stats(s, delta)
         assert count == len(pts)
         assert abs(total - math.fsum(map(float, pts))) <= 1e-9 * sum(abs(float(x)) for x in pts)
+
+
+@pytest.mark.parametrize(
+    "text, sched",
+    [
+        (
+            "{1/2^n} U {2 + 1/2^n} U {2 + 1/2^n + 1/2^(2^n)}",
+            delta_schedule(start_exp=4, end_exp=30, early_stop=False),
+        ),
+        ("{0,1} U {1/n} U {1 + 1/2^n}", delta_schedule()),
+    ],
+    ids=["H_EDS", "readme"],
+)
+def test_mean_iso_asks_each_collision_question_once(monkeypatch, text, sched):
+    s = parse(text)
+    asked = Counter()
+    steps = []
+    seq_value_index, stats = topology._seq_value_index, means.isolated_stats
+
+    def counting(limit, tf, x):
+        asked[limit, tf, x] += 1
+        return seq_value_index(limit, tf, x)
+
+    def recording(s, delta, *args, **kwargs):
+        got = stats(s, delta, *args, **kwargs)
+        steps.append((delta, got))
+        return got
+
+    monkeypatch.setattr(topology, "_seq_value_index", counting)
+    monkeypatch.setattr(means, "isolated_stats", recording)
+    mean_iso(s, sched)
+    monkeypatch.undo()
+    assert len(steps) > 3 and asked
+    assert max(asked.values()) == 1, [q for q, k in asked.items() if k > 1][:3]
+    # every step gives the bits of a call that shares nothing
+    for delta, (count, total) in steps:
+        alone_count, alone_total = isolated_stats(s, delta)
+        assert count == alone_count and total.hex() == alone_total.hex()
 
 
 def _result(fn, *args):
