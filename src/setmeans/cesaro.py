@@ -8,6 +8,14 @@ sequences can be interleaved with prescribed asymptotic frequencies by
 drawing one stream at the first index of every length-gamma block.  All
 witness indices are computed from explicit envelope certificates, so the
 constructions are deterministic and verifiable.
+
+A `ValueStream` is an iterator of (float, exact) rows, and every merge is a
+generator over its input streams whose certificate reads the generator's
+own counters while it is suspended.  The per-row loops call a bound `pull`
+(a Python-to-Python call, cheaper per row than iterating a stream from C).
+An absorbed stream is pulled long before its element is inserted, so a
+witness's membership test claims the values it will emit, not only those it
+has emitted.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .setexpr import (
     Seq,
     Seq2,
     SetExpr,
+    _gen_union,
     _seq_value_index,
     is_countably_infinite,
     leaves,
@@ -48,7 +57,7 @@ _EXACT_BITS = 4096
 
 
 class ValueStream:
-    """Single-consumer injective stream of (float, exact) rows.
+    """Single-consumer injective iterator of (float, exact) rows.
 
     Emits floats; the exact value is kept alongside while its size stays
     tractable.  A sequence leaf's element is built from one reduced integer
@@ -66,7 +75,6 @@ class ValueStream:
         mean_cert: Callable[[Fraction], int] | None = None,
         dev_bound: Rat | None = None,
         contains: Callable[[Rat], bool] | None = None,
-        label: str = "",
     ):
         self._it = iterator
         self.mean = mean
@@ -74,18 +82,17 @@ class ValueStream:
         self._mean_cert = mean_cert
         self.dev_bound = dev_bound
         self._contains = contains
-        self.label = label
         self.emitted_count = 0
         self.partial_sum_float = 0.0
 
     def elem_rate(self, eps: Fraction) -> int:
         if self._elem_rate is None:
-            raise NoWitness(f"stream {self.label!r} has no element rate")
+            raise NoWitness("stream has no element rate")
         return self._elem_rate(eps)
 
     def mean_cert(self, eps: Fraction) -> int:
         if self._mean_cert is None:
-            raise NoWitness(f"stream {self.label!r} has no mean certificate")
+            raise NoWitness("stream has no mean certificate")
         return self._mean_cert(eps)
 
     def contains(self, v: Rat) -> bool:
@@ -93,11 +100,19 @@ class ValueStream:
             return False
         return self._contains(v)
 
+    def __iter__(self):
+        return self
+
     def pull(self) -> tuple[float, Rat | None]:
         f, e = next(self._it)
         self.emitted_count += 1
         self.partial_sum_float += f
         return f, e
+
+    def __next__(self):
+        # every layer advances through `pull`, so a wrapper of `pull` (such
+        # as bench/spans.py installs) counts the inner layers' pulls too
+        return self.pull()
 
     def running_mean(self) -> float:
         return self.partial_sum_float / self.emitted_count
@@ -161,7 +176,7 @@ def _seq_iter(limit: Rat, tf: TermFun, skip_indices: frozenset[int]):
         n += 1
 
 
-def stream_from_seq(leaf: Seq, skip_indices=frozenset(), label="seq") -> ValueStream:
+def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
     tf = leaf.tail
     m = tf_monotone_index(tf)
     dev = max(
@@ -187,7 +202,6 @@ def stream_from_seq(leaf: Seq, skip_indices=frozenset(), label="seq") -> ValueSt
         mean_cert=cert,
         dev_bound=dev,
         contains=contains,
-        label=label,
     )
 
 
@@ -212,7 +226,7 @@ def _dense_edge_values(d: Dense, ascending_to_top: bool):
             raise BudgetExceeded("dense edge stream exhausted its depth")
 
 
-def stream_from_dense_edge(d: Dense, target_hi: bool, label="dense-edge") -> ValueStream:
+def stream_from_dense_edge(d: Dense, target_hi: bool) -> ValueStream:
     target = d.hi if target_hi else d.lo
     width = d.hi - d.lo
 
@@ -227,36 +241,28 @@ def stream_from_dense_edge(d: Dense, target_hi: bool, label="dense-edge") -> Val
         need = Fraction(2) * m_e * max(width, eps) / eps
         return max(m_e, math.ceil(need)) + 1
 
-    emitted: set[Rat] = set()
-    raw = _dense_edge_values(d, target_hi)
-
-    def it():
-        for f, v in raw:
-            emitted.add(v)
-            yield f, v
-
     def contains(v: Rat) -> bool:
-        # conservative: exact once emitted; future dyadic edge values are
-        # never reached by the canonical enumeration within any finite run
-        return v in emitted
+        # level j >= 1 emits the multiple of 2^-j nearest the edge inside
+        # (lo, hi), so v = m/2^j0 (reduced) is emitted iff one step of level
+        # max(j0, 1) from v reaches the edge; deeper levels only come closer
+        den = v.denominator
+        if den & (den - 1) or not d.lo < v < d.hi:
+            return False
+        step = Fraction(1, max(den, 2))
+        return v + step >= d.hi if target_hi else v - step <= d.lo
 
     return ValueStream(
-        it(),
+        _dense_edge_values(d, target_hi),
         mean=target,
         elem_rate=rate,
         mean_cert=cert,
         dev_bound=width,
         contains=contains,
-        label=label,
     )
 
 
-def stream_from_finite(points, label="finite") -> ValueStream:
-    def it():
-        for p in points:
-            yield float(p), p
-
-    return ValueStream(it(), label=label, dev_bound=None)
+def stream_from_finite(points) -> ValueStream:
+    return ValueStream((float(p), p) for p in points)
 
 
 def canonical_stream(s: SetExpr, owned: tuple[Callable[[Rat], bool], ...]) -> ValueStream:
@@ -279,7 +285,7 @@ def canonical_stream(s: SetExpr, owned: tuple[Callable[[Rat], bool], ...]) -> Va
                 continue
             yield float(v), _exact_if_small(v)
 
-    return ValueStream(it(), label="rest")
+    return ValueStream(it())
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +342,18 @@ def merge_element(b: ValueStream, c: Rat, eps: Fraction, cert_index: int | None 
     k = merge_element_index(b.mean, c, eps, cert_index)
 
     def it():
-        i = 1
+        pull = b.pull
+        for _ in range(k - 1):
+            yield pull()
+        yield float(c), _exact_if_small(Fraction(c))
         while True:
-            if i == k:
-                yield float(c), _exact_if_small(Fraction(c))
-            else:
-                yield b.pull()
-            i += 1
+            yield pull()
 
     merged = ValueStream(
         it(),
         mean=b.mean,
         mean_cert=_inserted_cert(b, c, k, eps),
         dev_bound=b.dev_bound,
-        label=f"{b.label}+1",
     )
     return k, merged
 
@@ -363,85 +367,55 @@ def _inserted_cert(b: ValueStream, c: Rat, k: int, eps: Fraction):
     return cert
 
 
-def merge_absorb(b: ValueStream, c: ValueStream, label="absorb") -> ValueStream:
+def merge_absorb(b: ValueStream, c: ValueStream) -> ValueStream:
     """Merge every element of bounded c into b without moving the mean.
 
     Inserts c's j-th element with the halving tolerance 2^-j at an index
     where all three insertion bounds hold for the current merged stream.
+    c is pulled on the first pull and right after each insertion.
     """
     if b.mean is None:
         raise NoWitness("absorbing needs the base stream's mean")
     b_mean = b.mean
-    dev_c = c.dev_bound
+    j = k_last = 0  # insertions so far, and the index of the last one
+    cdev = c.dev_bound or Fraction(0)
 
-    state = {
-        "j": 0,  # inserted count
-        "k_last": 0,  # index of the last insertion
-        "pending": None,
-        "done": False,
-        "cdev": dev_c if dev_c is not None else Fraction(0),
-    }
-
-    def current_cert(eps: Fraction) -> int:
+    def cert(eps: Fraction) -> int:
         # after j insertions the deviation splits into the inserted values'
         # contribution and the base stream's own certified window
-        j = state["j"]
-        dc = state["cdev"] + abs(b_mean) + 1
+        dc = cdev + abs(b_mean) + 1
         base = b.mean_cert(eps / 2)
         need = math.ceil(2 * j * dc / eps)
-        return max(state["k_last"], base + j, need) + 1
-
-    def next_insert_index() -> int | None:
-        if state["pending"] is None and not state["done"]:
-            try:
-                f, e = c.pull()
-            except StopIteration:
-                state["done"] = True
-                return None
-            if e is None:
-                e = Fraction(f)
-            state["pending"] = e
-        if state["pending"] is None:
-            return None
-        j_next = state["j"] + 1
-        eps_j = Fraction(1, 2**j_next)
-        if state["cdev"] == 0 or abs(state["pending"] - b_mean) > state["cdev"]:
-            state["cdev"] = abs(state["pending"] - b_mean)
-        k = merge_element_index(b_mean, state["pending"], eps_j, current_cert(eps_j / 3))
-        return max(k, state["k_last"] + 1)
+        return max(k_last, base + j, need) + 1
 
     def it():
-        i = 1
-        next_k = next_insert_index()
+        nonlocal j, k_last, cdev
+        pull = b.pull
+        for f, e in c:
+            v = Fraction(f) if e is None else e
+            cdev = max(cdev, abs(v - b_mean))
+            eps = Fraction(1, 2 ** (j + 1))
+            k = max(merge_element_index(b_mean, v, eps, cert(eps / 3)), k_last + 1)
+            for _ in range(k - 1 - k_last):
+                yield pull()
+            # count the insertion before yielding it: an outer merge reads
+            # cert while this generator is suspended at the yield
+            j, k_last = j + 1, k
+            yield float(v), _exact_if_small(v)
         while True:
-            if next_k is not None and i == next_k:
-                v = state["pending"]
-                state["pending"] = None
-                state["j"] += 1
-                state["k_last"] = i
-                yield float(v), _exact_if_small(v)
-                next_k = next_insert_index()
-            else:
-                yield b.pull()
-            i += 1
+            yield pull()
 
-    return ValueStream(
-        it(),
-        mean=b_mean,
-        mean_cert=current_cert,
-        dev_bound=None,
-        label=label,
-    )
+    return ValueStream(it(), mean=b_mean, mean_cert=cert)
 
 
-def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="blocks") -> ValueStream:
+def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams) -> ValueStream:
     """Block merge with asymptotic draw frequency alpha from a, beta from b;
     the running mean converges to alpha*a.mean + beta*b.mean."""
     alpha = Fraction(params.alpha)
     if alpha == 0:
-        return merge_absorb(b, a, label=label)
+        return merge_absorb(b, a)
     if alpha == 1:
-        return merge_absorb(a, b, label=label)
+        return merge_absorb(a, b)
     if a.mean is None or b.mean is None:
         raise NoWitness("weighted merging needs both stream means")
     first, rest = (a, b) if alpha <= Fraction(1, 2) else (b, a)
@@ -482,7 +456,6 @@ def merge_weighted(a: ValueStream, b: ValueStream, params: MergeParams, label="b
             [d for d in (a.dev_bound, b.dev_bound) if d is not None]
             + [abs(a.mean - b.mean)]
         ),
-        label=label,
     )
 
 
@@ -522,10 +495,10 @@ def _extreme_cluster(leaf: Seq2, target: Rat) -> Seq | None:
     return None
 
 
-def _stream_from_backing(backing, skip_indices=frozenset(), label="witness") -> ValueStream:
+def _stream_from_backing(backing, skip_indices=frozenset()) -> ValueStream:
     if backing[0] == "seq":
-        return stream_from_seq(backing[1], skip_indices, label=label)
-    return stream_from_dense_edge(backing[1], backing[2], label=label)
+        return stream_from_seq(backing[1], skip_indices)
+    return stream_from_dense_edge(backing[1], backing[2])
 
 
 _COLLISION_CAP = 20_000
@@ -558,25 +531,6 @@ def _seq_collision_indices(dst: Seq, src: Seq) -> set[int]:
     return out
 
 
-def interleave(x: ValueStream, y: ValueStream, label="interleave") -> ValueStream:
-    """Round-robin merge of two disjoint streams (no mean bookkeeping)."""
-
-    def it():
-        streams = [x, y]
-        while streams:
-            alive = []
-            for st in streams:
-                try:
-                    yield st.pull()
-                    alive.append(st)
-                except StopIteration:
-                    pass
-            if len(alive) < len(streams):
-                streams = alive
-
-    return ValueStream(it(), label=label)
-
-
 def _limits(s: SetExpr) -> tuple[Rat, Rat]:
     """The lower and upper limits of a set that can be rearranged."""
     if not is_countably_infinite(s):
@@ -591,7 +545,7 @@ def _lower_witness(ls, lo: Rat):
     if got is None:
         raise NoWitness("no representable subsequence converges to the lower limit")
     back, leaf, full = got
-    return back, _stream_from_backing(back, label="witness-lo"), {leaf} if full else set()
+    return back, _stream_from_backing(back), {leaf} if full else set()
 
 
 def _remainder(ls, consumed: set[int], witnesses) -> ValueStream:
@@ -617,9 +571,9 @@ def split_three(s: SetExpr):
     # values shared by both witnesses stay with the lower one
     if a_back[0] == "seq" and b_back[0] == "seq":
         b_skip = _seq_collision_indices(b_back[1], a_back[1])
-        b = _stream_from_backing(b_back, frozenset(b_skip), label="witness-hi")
+        b = _stream_from_backing(b_back, frozenset(b_skip))
     else:
-        b = _filter_stream(_stream_from_backing(b_back, label="witness-hi"), a.contains)
+        b = _filter_stream(_stream_from_backing(b_back), a.contains)
     if b_full:
         consumed.add(b_leaf)
     return a, b, _remainder(ls, consumed, (a, b)), lo, hi
@@ -631,21 +585,13 @@ def _emptied(ls, consumed: set[int]) -> list[SetExpr]:
 
 
 def _filter_stream(src: ValueStream, banned) -> ValueStream:
-    def it():
-        while True:
-            f, e = src.pull()
-            if e is not None and banned(e):
-                continue
-            yield f, e
-
     return ValueStream(
-        it(),
+        ((f, e) for f, e in src if e is None or not banned(e)),
         mean=src.mean,
         elem_rate=src._elem_rate,
         mean_cert=src._mean_cert,
         dev_bound=src.dev_bound,
         contains=src._contains,
-        label=src.label + "-filtered",
     )
 
 
@@ -663,15 +609,14 @@ def enumerate_with_mean(s: SetExpr, target: Rat) -> ValueStream:
     if lo == hi:
         ls = leaves(s)
         _, a, consumed = _lower_witness(ls, lo)
-        return merge_absorb(a, _remainder(ls, consumed, (a,)), label="rearranged")
+        return merge_absorb(a, _remainder(ls, consumed, (a,)))
     a, b, c, lo, hi = split_three(s)
     if target == lo:
-        return merge_absorb(a, interleave(b, c), label="rearranged")
+        return merge_absorb(a, ValueStream(_gen_union([b, c])))
     if target == hi:
-        return merge_absorb(b, interleave(a, c), label="rearranged")
+        return merge_absorb(b, ValueStream(_gen_union([a, c])))
     alpha = (hi - target) / (hi - lo)
-    core = merge_weighted(a, b, MergeParams(alpha))
-    return merge_absorb(core, c, label="rearranged")
+    return merge_absorb(merge_weighted(a, b, MergeParams(alpha)), c)
 
 
 def enumerate_divergent(
@@ -711,5 +656,5 @@ def enumerate_divergent(
                         raise BudgetExceeded("high burst exceeded its cap")
             low_stage = not low_stage
 
-    out = ValueStream(it(), label="divergent")
+    out = ValueStream(it())
     return out

@@ -846,8 +846,9 @@ def _fast_leaf_scan(leaf, skip: set, points: list[Rat], delta: Rat, budget: int)
             raise BudgetExceeded("isolated point budget exhausted")
         count += hi - lo
         total += (hi - lo) * lf + flip * _tf_range_sum_float(tf, lo, hi)
-    for kind, n in skip:
-        if kind == "s" and any(lo <= n < hi for lo, hi in survivors):
+    # in index order: a float sum must not follow the set's hash order
+    for n in sorted(n for kind, n in skip if kind == "s"):
+        if any(lo <= n < hi for lo, hi in survivors):
             count -= 1
             total -= lf + flip * tf_value_float(tf, n)
     return count, total
@@ -960,7 +961,8 @@ def _build_skips(leaves, delta: Rat, memo: dict) -> list[set]:
             idx = index(p)
             if idx is not None:
                 skips[j].add(("s", idx))
-    # pairwise sequence overlap: keep the earlier leaf's copy
+    # pairwise sequence overlap: keep the copy of the leaf whose tail drops
+    # below delta sooner (the earlier leaf on a tie)
     spans = {i: bounds(leaves[i])[:2] for i in seq_ids}
     tiny_keys: dict = {}
     for pos_a in range(len(seq_ids)):

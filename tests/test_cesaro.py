@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from setmeans import (
     Affine,
     Degenerate,
     MergeParams,
+    NoWitness,
     OutOfRange,
     enumerate_divergent,
     enumerate_points,
@@ -47,6 +49,16 @@ def test_merge_element_window():
         assert -0.1 < m < 0.1
 
 
+def test_merge_element_rows():
+    # b's rows with c at index k, and b pulled only when its row is emitted
+    b, ref = _harmonic_stream(), _harmonic_stream()
+    k, merged = merge_element(b, F(10), F(1, 10))
+    got = [merged.pull() for _ in range(k)]
+    assert b.emitted_count == k - 1
+    got += [merged.pull() for _ in range(5)]
+    assert got == [ref.pull() for _ in range(k - 1)] + [(10.0, F(10))] + [ref.pull() for _ in range(5)]
+
+
 def test_merge_element_trivial_cases():
     b = _harmonic_stream()
     k, merged = merge_element(b, F(0), F(1, 2))  # c already near the mean
@@ -73,7 +85,6 @@ def _alternating_stream():
         mean=F(1, 2),
         mean_cert=lambda eps: math.ceil(1 / float(eps)) + 2,
         dev_bound=F(1, 2),
-        label="alternating",
     )
 
 
@@ -389,3 +400,219 @@ def test_mapped_dense_filler_stream_stays_in_the_set():
     exact = [stream.pull()[1] for _ in range(3000)]
     outside = [v for v in exact if v is not None and not contains_point(s, v)]
     assert outside == []
+
+
+@pytest.mark.parametrize(
+    "text, target",
+    [
+        ("Q(0,1)", F(1, 2)),
+        ("Q(0,1)", F(0)),
+        ("Q(0,1)", F(1)),
+        ("Q(0,1) U Q(1,2)", F(1)),
+        ("{1/n} U Q(2,3)", F(5, 2)),
+        ("Q(0,1) U {1/n} U {2 + 1/n}", F(1)),
+    ],
+)
+def test_dense_witness_rearrangement_is_injective(text, target):
+    # the remainder pulls an element long before the merge inserts it, so a
+    # dense-edge witness must claim the values it emits later, not only the
+    # ones it emitted already
+    s = parse(text)
+    got = _prefix(enumerate_with_mean(s, target), 3000)
+    assert len(got) == len(set(got)) == 3000
+    assert all(contains_point(s, v) for v in got)
+
+
+@pytest.mark.parametrize("target_hi", [True, False])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 1), (1, 2), (0, F(3, 2)), (F(1, 3), F(2, 3)), (F(-5, 7), F(1, 10)), (3, 3 + F(1, 1000))],
+    ids=str,
+)
+def test_dense_edge_membership_is_its_values(lo, hi, target_hi):
+    d = Dense(F(lo), F(hi))
+    st = cesaro.stream_from_dense_edge(d, target_hi)
+    emitted = {v for _, v in islice(cesaro._dense_edge_values(d, target_hi), 40)}
+    assert all(st.contains(v) for v in emitted)
+    # a level emits at most one value, so the first 40 values hold every
+    # value the stream ever emits with a denominator up to 2^10
+    den = 1 << 10
+    grid = {F(m, den) for m in range(math.floor(d.lo * den) - 1, math.ceil(d.hi * den) + 2)}
+    assert {v for v in grid if st.contains(v)} == grid & emitted
+
+
+# ---------------------------------------------------------------------------
+# differential: the merges are generators over their inputs; these are the
+# hand-written state machine and round-robin they replaced, kept as oracles
+
+
+def _old_merge_absorb(b, c, log):
+    """merge_absorb with an explicit pending insertion; appends each
+    insertion index to `log`."""
+    b_mean = b.mean
+    state = {
+        "j": 0,
+        "k_last": 0,
+        "pending": None,
+        "done": False,
+        "cdev": c.dev_bound if c.dev_bound is not None else F(0),
+    }
+
+    def current_cert(eps):
+        j = state["j"]
+        dc = state["cdev"] + abs(b_mean) + 1
+        base = b.mean_cert(eps / 2)
+        need = math.ceil(2 * j * dc / eps)
+        return max(state["k_last"], base + j, need) + 1
+
+    def next_insert_index():
+        if state["pending"] is None and not state["done"]:
+            try:
+                f, e = c.pull()
+            except StopIteration:
+                state["done"] = True
+                return None
+            state["pending"] = F(f) if e is None else e
+        if state["pending"] is None:
+            return None
+        eps_j = F(1, 2 ** (state["j"] + 1))
+        if state["cdev"] == 0 or abs(state["pending"] - b_mean) > state["cdev"]:
+            state["cdev"] = abs(state["pending"] - b_mean)
+        k = cesaro.merge_element_index(b_mean, state["pending"], eps_j, current_cert(eps_j / 3))
+        return max(k, state["k_last"] + 1)
+
+    def it():
+        i = 1
+        next_k = next_insert_index()
+        while True:
+            if next_k is not None and i == next_k:
+                v = state["pending"]
+                state["pending"] = None
+                state["j"] += 1
+                state["k_last"] = i
+                log.append(i)
+                yield float(v), cesaro._exact_if_small(v)
+                next_k = next_insert_index()
+            else:
+                yield b.pull()
+            i += 1
+
+    return cesaro.ValueStream(it(), mean=b_mean, mean_cert=current_cert)
+
+
+def _old_interleave(x, y):
+    def it():
+        streams = [x, y]
+        while streams:
+            alive = []
+            for st in streams:
+                try:
+                    yield st.pull()
+                    alive.append(st)
+                except StopIteration:
+                    pass
+            if len(alive) < len(streams):
+                streams = alive
+
+    return cesaro.ValueStream(it())
+
+
+def _old_merge_weighted(a, b, alpha, log):
+    if alpha == 0:
+        return _old_merge_absorb(b, a, log)
+    if alpha == 1:
+        return _old_merge_absorb(a, b, log)
+    shell = merge_weighted(a, b, MergeParams(alpha))  # mean and certificate only
+    first, rest = (a, b) if alpha <= F(1, 2) else (b, a)
+    gamma = MergeParams(alpha).gamma
+    gn, gd = gamma.numerator, gamma.denominator
+
+    def it():
+        m, next_first, i = 2, 1, 1
+        while True:
+            if i == next_first:
+                yield first.pull()
+                next_first = max(-((1 - m) * gn // gd), i + 1)
+                m += 1
+            else:
+                yield rest.pull()
+            i += 1
+
+    return cesaro.ValueStream(it(), mean=shell.mean, mean_cert=shell._mean_cert, dev_bound=shell.dev_bound)
+
+
+def _old_enumerate_with_mean(s, target, log):
+    a, b, c, lo, hi = split_three(s)
+    if target == lo:
+        return _old_merge_absorb(a, _old_interleave(b, c), log)
+    if target == hi:
+        return _old_merge_absorb(b, _old_interleave(a, c), log)
+    return _old_merge_absorb(_old_merge_weighted(a, b, (hi - target) / (hi - lo), log), c, log)
+
+
+class _Kit:
+    """The merges a differential case builds its stream from."""
+
+    def __init__(self, log=None):
+        if log is None:
+            self.absorb = merge_absorb
+            self.weighted = lambda a, b, alpha: merge_weighted(a, b, MergeParams(alpha))
+            self.enum = enumerate_with_mean
+        else:
+            self.absorb = lambda b, c: _old_merge_absorb(b, c, log)
+            self.weighted = lambda a, b, alpha: _old_merge_weighted(a, b, alpha, log)
+            self.enum = lambda s, target: _old_enumerate_with_mean(s, target, log)
+
+
+def _seq(text):
+    return stream_from_seq(parse(text))
+
+
+_H3 = "{1/n} U {1 + 1/n + 1/k}"
+_H4 = "{1/n} U {1 - 1/n} U {5 + 1/n}"
+_DIFFERENTIAL = {
+    "nested-absorb": lambda k: k.absorb(
+        k.absorb(_seq("{1/n}"), _seq("{2 + 1/n^2}")), _seq("{-1 + 1/2^n}")
+    ),
+    "blocks-around-absorb": lambda k: k.weighted(
+        k.absorb(_seq("{1/n}"), _seq("{3 + 1/n}")), _seq("{1 + 1/n}"), F(1, 3)
+    ),
+    "blocks-0": lambda k: k.weighted(_seq("{1/n}"), _seq("{1 + 1/n}"), F(0)),
+    "blocks-1": lambda k: k.weighted(_seq("{1/n}"), _seq("{1 + 1/n}"), F(1)),
+    "blocks-1/3": lambda k: k.weighted(_seq("{1/n}"), _seq("{1 + 1/n}"), F(1, 3)),
+    "absorb-empty": lambda k: k.absorb(_seq("{1/n}"), cesaro.stream_from_finite([])),
+    "absorb-finite": lambda k: k.absorb(_seq("{1/n}"), cesaro.stream_from_finite([F(5), F(6), F(7)])),
+    **{
+        f"{name}->{target}": (lambda k, text=text, target=target: k.enum(parse(text), target))
+        for name, text, targets in (
+            ("H1", "{1/n} U {1 + 1/n}", (0, F(7, 10), 1)),
+            ("H3", _H3, (0, 1, 2)),
+            ("H4", _H4, (0, 2, 5)),
+        )
+        for target in map(F, targets)
+    },
+}
+
+
+def _cert(stream, eps):
+    try:
+        return stream.mean_cert(eps)
+    except NoWitness:
+        return NoWitness
+
+
+@pytest.mark.parametrize("case", list(_DIFFERENTIAL))
+def test_merges_match_the_state_machine_they_replace(case):
+    log = []
+    new, old = _DIFFERENTIAL[case](_Kit()), _DIFFERENTIAL[case](_Kit(log))
+    inserted = 0
+    for n in range(1, 20_001):
+        (f, e), (g, x) = new.pull(), old.pull()
+        assert (f.hex(), e) == (g.hex(), x), n
+        if len(log) > inserted:
+            # an outer merge reads the certificate while this one is
+            # suspended right after an insertion
+            inserted = len(log)
+            for eps in (F(1, 8), F(1, 1000)):
+                assert _cert(new, eps) == _cert(old, eps), (n, eps)
+    assert new.emitted_count == old.emitted_count == 20_000

@@ -7,12 +7,19 @@ pair and knows in advance from which index a general tail goes float-only
 whether a term went untracked.  `merge_weighted` finds each block start by
 integer ceiling division on gamma's numerator and denominator, not by
 `math.ceil` on a Fraction product.
+
+A `ValueStream` is an iterator and every merge a generator over its input
+streams: no stream carries a label, and no function but the one
+round-robin (`setexpr._gen_union`), `ValueStream.take` and the divergent
+bursts catches `StopIteration` by hand, so no absorb state machine or
+second round-robin comes back.
 """
 
 import ast
 from pathlib import Path
 
-CESARO = Path(__file__).resolve().parent.parent / "src" / "setmeans" / "cesaro.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "setmeans"
+CESARO = SRC / "cesaro.py"
 
 
 def _tree():
@@ -52,3 +59,39 @@ def test_block_starts_do_not_call_ceil():
         and node.func.attr == "ceil"
     ]
     assert ceil_calls == []
+
+
+def test_no_stream_labels():
+    labelled = [
+        node.name
+        for node in ast.walk(_tree())
+        if isinstance(node, ast.FunctionDef)
+        and any(a.arg == "label" for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+    ]
+    assert labelled == []
+
+
+def _top_level_defs(tree):
+    """(qualified name, node) of every module function and class method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_stop_iteration_is_caught_only_where_a_stream_may_end():
+    catching = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _top_level_defs(ast.parse(path.read_text(), filename=str(path))):
+            if any(
+                isinstance(h, ast.ExceptHandler)
+                and h.type is not None
+                and "StopIteration" in _referenced(h.type)
+                for h in ast.walk(fn)
+            ):
+                catching.add(f"{path.stem}.{name}")
+    allowed = {"setexpr._gen_union", "cesaro.ValueStream.take", "cesaro.enumerate_divergent"}
+    assert catching <= allowed, catching

@@ -1,8 +1,12 @@
 """Derived sets, ideal limits, splits, isolated points, Hausdorff distance."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -356,6 +360,31 @@ def test_mean_iso_asks_each_collision_question_once(monkeypatch, text, sched):
     for delta, (count, total) in steps:
         alone_count, alone_total = isolated_stats(s, delta)
         assert count == alone_count and total.hex() == alone_total.hex()
+
+
+def test_isolated_stats_does_not_depend_on_the_hash_seed():
+    # {5 + 1/2^n} loses two indices to the other leaves at 5 (5 itself and
+    # 5 + 1/4^n); subtracting them from a float sum in set order gave a
+    # last bit that moved with PYTHONHASHSEED
+    code = (
+        "from fractions import Fraction\n"
+        "from setmeans import parse\n"
+        "from setmeans.topology import isolated_stats\n"
+        "s = parse('{1/n} U {2/n} U {5} U {5 + 1/2^n} U {5 + 1/4^n}')\n"
+        "count, total = isolated_stats(s, Fraction(1, 2**10))\n"
+        "print(count, total.hex())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for seed in ("0", "3", "4")
+    }
+    assert len(outs) == 1, outs
 
 
 def _result(fn, *args):
