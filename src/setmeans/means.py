@@ -13,7 +13,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import eq
+from itertools import compress, islice
+from operator import ne
 
 from .core import Interval, Rat, arithmetic_mean, avg_iu, rat
 from .errors import (
@@ -319,58 +320,77 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
 _EXACT_NBR_BUDGET = 3000
 
 
-def _seq_float_parts(limit, tf, delta, out):
-    """Append the (lo, hi) float parts of one sequence leaf: its tail cover
-    and the ball of each resolved point."""
+def _seq_float_parts(limit, tf, delta, los, his):
+    """Append the float ends of one sequence leaf's parts to `los` and `his`:
+    its tail cover and the ball of each resolved point."""
     d = float(delta)
     idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
     x_r = lf + tf_value_float(tf, idx.stop)
-    out.append((min(lf, x_r) - d, max(lf, x_r) + d))
+    los.append(min(lf, x_r) - d)
+    his.append(max(lf, x_r) + d)
     pw = tf_single_pow(tf)
     if pw is not None:
         c, p = float(pw.c), pw.p
         values = [lf + c / n**p for n in idx]
     else:
         values = [lf + tf_value_float(tf, n) for n in idx]
-    out.extend([(v - d, v + d) for v in values])
+    los.extend([v - d for v in values])
+    for i, v in enumerate(values):  # in place, so no third list of floats
+        values[i] = v + d
+    his.extend(values)
 
 
 def _lavg_eval_float(ls, delta) -> float:
-    parts = []
+    """The float neighbourhood average of the leaves `ls` at radius delta.
+
+    Every part of the neighbourhood appends its low end to `los` and its
+    high end to `his`, and each list is sorted on its own.  A merged run
+    ends after j exactly when los[j+1] > his[j], and it spans los[start]
+    to his[j].  Take the parts in (lo, hi) order: every part after the
+    (j+1)-th has hi >= lo >= los[j+1].  So the j+1 first parts all end
+    below los[j+1] exactly when the j+1 smallest his do, and then those are
+    the his of the j+1 first parts, whose largest is his[j].  These are the
+    runs of a sweep over the sorted (lo, hi) pairs in which touching ends
+    merge (lo <= the run's hi); the order among equal lo never mattered,
+    as a signed zero only changes terms that are zero.  So the sweep adds
+    the same terms in the same order, with plain `+=`: `sum()` is
+    compensated from Python 3.12 on.
+    """
+    los: list[float] = []
+    his: list[float] = []
     d = float(delta)
     for leaf in ls:
         if isinstance(leaf, Finite):
-            parts.extend((float(p) - d, float(p) + d) for p in leaf.points)
+            points = [float(p) for p in leaf.points]
+            los.extend([x - d for x in points])
+            his.extend([x + d for x in points])
         elif isinstance(leaf, Seq):
-            _seq_float_parts(leaf.limit, leaf.tail, delta, parts)
+            _seq_float_parts(leaf.limit, leaf.tail, delta, los, his)
         elif isinstance(leaf, IntervalSet):
-            parts.append((float(leaf.iv.lo) - d, float(leaf.iv.hi) + d))
+            los.append(float(leaf.iv.lo) - d)
+            his.append(float(leaf.iv.hi) + d)
         elif isinstance(leaf, Dense):
-            parts.append((float(leaf.lo) - d, float(leaf.hi) + d))
+            los.append(float(leaf.lo) - d)
+            his.append(float(leaf.hi) + d)
         else:
             # double sequences and cantor leaves fall back to exact parts
-            u = neighborhood(leaf, delta, budget=200_000)
-            parts.extend((float(p.lo), float(p.hi)) for p in u.parts)
-    # a stable sort of all parts is the order a merge of the per-leaf sorted
-    # lists gives, so the sweep adds the same terms in the same order
-    parts.sort()
+            parts = neighborhood(leaf, delta, budget=200_000).parts
+            los.extend([float(p.lo) for p in parts])
+            his.extend([float(p.hi) for p in parts])
+    los.sort()
+    his.sort()
     measure = 0.0
     moment = 0.0
-    cur_lo = cur_hi = None
-    for lo, hi in parts:
-        if cur_hi is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:
-            if hi > cur_hi:
-                cur_hi = hi
-        else:
-            measure += cur_hi - cur_lo
-            moment += (cur_hi * cur_hi - cur_lo * cur_lo) / 2
-            cur_lo, cur_hi = lo, hi
-    if cur_hi is not None:
-        measure += cur_hi - cur_lo
-        moment += (cur_hi * cur_hi - cur_lo * cur_lo) / 2
+    lo = los[0]
+    for nxt, hi in zip(islice(los, 1, None), his):
+        if nxt > hi:
+            measure += hi - lo
+            moment += (hi * hi - lo * lo) / 2
+            lo = nxt
+    hi = his[-1]
+    measure += hi - lo
+    moment += (hi * hi - lo * lo) / 2
     return moment / measure
 
 
@@ -509,8 +529,8 @@ def _cover(n: int, base: tuple[Rat, Rat], cells: list[int], spans: list[tuple[in
     each distinct point cell that no span holds."""
     spans = _merge_ranges(spans)
     cells.sort()
-    if any(map(eq, cells, cells[1:])):
-        cells = list(dict.fromkeys(cells))  # two runs can share a cell
+    if cells:  # neighbours at a run's end can share a cell, and so can two runs
+        cells = [*compress(cells, map(ne, cells, islice(cells, 1, None))), cells[-1]]
     kept: list[int] = []
     i = 0
     for lo, hi in spans:

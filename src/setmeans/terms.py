@@ -313,7 +313,11 @@ def tf_tracked_until(tf: TermFun) -> int | None:
 
 
 def tf_value_float(tf: TermFun, n: int) -> float:
-    return sum(_term_value_float(t, n) for t in tf.terms)
+    # a plain left fold: sum() is compensated from Python 3.12 on
+    total = 0.0
+    for t in tf.terms:
+        total += _term_value_float(t, n)
+    return total
 
 
 def parts_cmp(main: Fraction, tinies, q: Fraction) -> int:

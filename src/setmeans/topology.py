@@ -861,7 +861,11 @@ def _harmonic_float(n: int) -> float:
     if n <= 0:
         return 0.0
     if n < 32:
-        return sum(1.0 / k for k in range(1, n + 1))
+        # a plain left fold: sum() is compensated from Python 3.12 on
+        total = 0.0
+        for k in range(1, n + 1):
+            total += 1.0 / k
+        return total
     inv = 1.0 / n
     inv2 = inv * inv
     return (
@@ -877,7 +881,10 @@ def _harmonic_float(n: int) -> float:
 def _pow_tail_float(p: int, n: int) -> float:
     """sum over k > n of k^-p, p >= 2."""
     if n < 32:
-        return sum(1.0 / k**p for k in range(n + 1, 33)) + _pow_tail_float(p, 32)
+        total = 0.0  # a plain left fold, as in _harmonic_float
+        for k in range(n + 1, 33):
+            total += 1.0 / k**p
+        return total + _pow_tail_float(p, 32)
     x = float(n)
     ivp = x ** (1 - p) / (p - 1)
     return (

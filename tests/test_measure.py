@@ -1,11 +1,13 @@
 """Neighbourhoods, the measure average, and the half-measure median set."""
 
 import heapq
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setmeans import (
     BudgetExceeded,
@@ -37,7 +39,8 @@ from setmeans import (
     split_at,
     Affine,
 )
-from setmeans.means import _cell_of_seq_point, _iv_cells, _lavg_eval_float
+from setmeans import means
+from setmeans.means import CellCover, _cell_of_seq_point, _iv_cells, _lavg_eval_float
 from setmeans.measure import read_at_scale
 from setmeans.setexpr import Finite, IntervalSet, Seq, bounds, leaves
 from setmeans.terms import (
@@ -432,8 +435,9 @@ def _lavg_float_by_heap_merge(ls, delta):
 
 
 def test_lavg_float_sweep_bits():
-    # one sort of every part sweeps in the order of a merge of the per-leaf
-    # sorted lists, so the float average keeps its bits
+    # the sweep over the separately sorted part ends adds the runs of a
+    # merge of the per-leaf sorted parts in its order, so the float average
+    # keeps its bits
     rng = Random(127)
     cases = [(random_countable(rng, allow_seq2=False, allow_dense=True), 20) for _ in range(30)]
     cases += [
@@ -538,3 +542,81 @@ def test_ms_hf_reflection():
         lhs = ms_hf(reflected)
         rhs = ms_hf(s).map_affine(F(-1), 2 * center)
         assert lhs.parts == rhs.parts
+
+
+@st.composite
+def _grid_leaves(draw):
+    """Finite and interval leaves whose ends sit on one delta-grid: around
+    the bases 0, 1 and -3, so their parts touch, nest, share a lo and end at
+    zero from both sides.  A delta of 1/3 or 1/10 of a power of two makes
+    the float ends round, so a run split at a touching end moves the bits
+    of the sums."""
+    scale = draw(st.sampled_from([F(1), F(1, 3), F(1, 10)]))
+    delta = scale / 2 ** draw(st.integers(0, 40))
+    ls = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = F(draw(st.sampled_from([0, 1, -3])))
+        ms = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+        if draw(st.booleans()):
+            ls.append(Finite(tuple(base + m * delta for m in ms)))
+            continue
+        lo, hi = min(ms), max(ms)
+        opens = (False, False) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+        ls.append(IntervalSet(Interval(base + lo * delta, base + hi * delta, *opens)))
+    return ls, delta
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_grid_leaves())
+def test_lavg_float_sweep_matches_the_tuple_sweep(case):
+    ls, delta = case
+    assert _lavg_eval_float(ls, delta).hex() == _lavg_float_by_heap_merge(ls, delta).hex()
+
+
+def _cover_by_dict(n, base, cells, spans):
+    """`means._cover` with its duplicate cells dropped by a dict."""
+    spans = means._merge_ranges(spans)
+    cells = sorted(dict.fromkeys(cells))
+    kept = [j for j in cells if not any(lo <= j <= hi for lo, hi in spans)]
+    return CellCover(n, base, spans, tuple(kept))
+
+
+@pytest.mark.parametrize(
+    "text, exps",
+    [
+        (L_TEXT, range(8, 21)),  # neighbours at a run's end share a cell
+        ("{1/n} U {1/n^2} U {2/n}", range(4, 17, 3)),  # runs share cells
+        ("{1/n} U [1/3, 1/2]", range(4, 17, 3)),  # point cells inside a span
+    ],
+)
+def test_eds_cover_matches_a_dict_dedup(monkeypatch, text, exps):
+    s = parse(text)
+    base = default_base(s)
+    for k in exps:
+        got = eds_cells(s, 2**k, base)
+        with monkeypatch.context() as m:
+            m.setattr(means, "_cover", _cover_by_dict)
+            want = eds_cells(s, 2**k, base)
+        assert (got.spans, got.cells) == (want.spans, want.cells), (text, k)
+        assert (got.count(), got.index_sum()) == (want.count(), want.index_sum())
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_limit_means_keep_flat_per_point_lists():
+    # the float lavg sweep holds two float ends per ball (about 74 B), not a
+    # tuple of them next to a list of centres (153 B), and the eds cover
+    # drops duplicate cells without a dict
+    ls, delta = leaves(L), F(1, 2**34)
+    points = sum(len(tf_chain(leaf.tail, 2 * delta)[0]) for leaf in ls)
+    assert _peak_bytes(lambda: _lavg_eval_float(ls, delta)) <= 100 * points
+    n, base = 2**34, default_base(L)
+    cells = len(eds_cells(L, n, base).cells)
+    assert _peak_bytes(lambda: eds_cells(L, n, base)) <= 80 * cells

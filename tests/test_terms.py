@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction as F
+from functools import reduce
+from operator import add
 from random import Random
 
 import pytest
@@ -21,8 +23,10 @@ from setmeans.terms import (
     tf_monotone_index,
     tf_resolution_index,
     tf_value,
+    tf_value_float,
     tf_value_parts,
 )
+from setmeans.topology import _harmonic_float, _pow_tail_float
 
 from gen import random_termfun
 
@@ -34,6 +38,29 @@ def test_values():
     assert tf_value(geo, 4) == F(3, 16)
     dg = term_fun([DoubleGeoTerm(F(1), F(1, 2), 2)])
     assert tf_value(dg, 3) == F(1, 256)
+
+
+def _left_fold(values):
+    return reduce(add, values, 0.0)
+
+
+def test_float_sums_are_plain_left_folds():
+    # sum() over floats is compensated from Python 3.12 on, so these sums
+    # are `+=` loops: their bits are the same on every supported interpreter
+    tail = term_fun([PowTerm(F(1), 1), PowTerm(F(1), 2), GeoTerm(F(1), F(1, 3))])
+    for n in range(1, 40):
+        terms = [_term_value_float(t, n) for t in tail.terms]
+        assert tf_value_float(tail, n).hex() == _left_fold(terms).hex(), n
+    for n in range(1, 32):
+        harmonic = _left_fold(1.0 / k for k in range(1, n + 1))
+        assert _harmonic_float(n).hex() == harmonic.hex(), n
+        for p in (2, 3, 7):
+            tail_sum = _left_fold(1.0 / k**p for k in range(n + 1, 33)) + _pow_tail_float(p, 32)
+            assert _pow_tail_float(p, n).hex() == tail_sum.hex(), (p, n)
+    # values on which Python 3.11's plain and 3.12's compensated sum() differ
+    assert _harmonic_float(29).hex() == "0x1.fb1778bd5af57p+1"
+    assert _pow_tail_float(2, 1).hex() == "0x1.4a34cc4a5f74fp-1"
+    assert tf_value_float(tail, 5).hex() == "0x1.f3f2af0c998eep-3"
 
 
 def test_same_shape_terms_merge():
