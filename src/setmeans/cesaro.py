@@ -206,7 +206,8 @@ def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
 
 
 def _dense_edge_values(d: Dense, ascending_to_top: bool):
-    seen = set()
+    # level j's multiple of 2^-j nearest the edge is level j-1's value
+    # exactly when m is even, so only j == 1 or an odd m is new
     j = 1
     while True:
         den = 1 << j
@@ -218,8 +219,7 @@ def _dense_edge_values(d: Dense, ascending_to_top: bool):
             m = (d.lo * den).__floor__() + 1
             v = Fraction(m, den)
             ok = d.lo < v < d.hi
-        if ok and v not in seen:
-            seen.add(v)
+        if ok and (j == 1 or m & 1):
             yield float(v), v
         j += 1
         if j > 4000:

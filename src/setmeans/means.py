@@ -13,8 +13,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
-from operator import ne
+from itertools import chain, compress, islice, repeat
+from operator import add, ne, sub
 
 from .core import Interval, Rat, arithmetic_mean, avg_iu, rat
 from .errors import (
@@ -320,9 +320,9 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
 _EXACT_NBR_BUDGET = 3000
 
 
-def _seq_float_parts(limit, tf, delta, los, his):
-    """Append the float ends of one sequence leaf's parts to `los` and `his`:
-    its tail cover and the ball of each resolved point."""
+def _seq_float_parts(limit, tf, delta, centres, los, his):
+    """Append one sequence leaf's parts: the centre of each resolved point's
+    ball to `centres`, and the ends of its tail cover to `los` and `his`."""
     d = float(delta)
     idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
@@ -332,41 +332,64 @@ def _seq_float_parts(limit, tf, delta, los, his):
     pw = tf_single_pow(tf)
     if pw is not None:
         c, p = float(pw.c), pw.p
-        values = [lf + c / n**p for n in idx]
+        centres.extend([lf + c / n**p for n in idx])
     else:
-        values = [lf + tf_value_float(tf, n) for n in idx]
-    los.extend([v - d for v in values])
-    for i, v in enumerate(values):  # in place, so no third list of floats
-        values[i] = v + d
-    his.extend(values)
+        centres.extend([lf + tf_value_float(tf, n) for n in idx])
+
+
+_CHUNK = 4096  # centres shifted and merged at a time
+
+
+def _ends(centres, shift, d, others):
+    """The ends shift(c, d) of the balls around the sorted `centres` and the
+    sorted `others`, in one ascending iterator.  Each chunk shifts the next
+    _CHUNK centres, takes the others up to its last end and sorts, which
+    merges the two sorted runs; a last chunk holds the remaining others."""
+
+    def chunks():
+        k = 0
+        for i in range(0, len(centres), _CHUNK):
+            ends = list(map(shift, centres[i : i + _CHUNK], repeat(d)))
+            j = bisect_right(others, ends[-1], k)
+            ends += others[k:j]
+            ends.sort()
+            yield ends
+            k = j
+        yield others[k:]
+
+    return chain.from_iterable(chunks())
 
 
 def _lavg_eval_float(ls, delta) -> float:
     """The float neighbourhood average of the leaves `ls` at radius delta.
 
-    Every part of the neighbourhood appends its low end to `los` and its
-    high end to `his`, and each list is sorted on its own.  A merged run
-    ends after j exactly when los[j+1] > his[j], and it spans los[start]
-    to his[j].  Take the parts in (lo, hi) order: every part after the
-    (j+1)-th has hi >= lo >= los[j+1].  So the j+1 first parts all end
-    below los[j+1] exactly when the j+1 smallest his do, and then those are
-    the his of the j+1 first parts, whose largest is his[j].  These are the
-    runs of a sweep over the sorted (lo, hi) pairs in which touching ends
-    merge (lo <= the run's hi); the order among equal lo never mattered,
+    A ball of radius d, around a Finite point or a resolved sequence point,
+    keeps only its centre c; every other part keeps its two ends.  Rounding
+    is monotone, so c - d and c + d over the sorted centres come out
+    sorted, and `_ends` merges them with the other parts' sorted ends into
+    the sorted lists of all low ends, `los`, and all high ends, `his`.  A
+    merged run ends after j exactly when los[j+1] > his[j], and it spans
+    los[start] to his[j].  Take the parts in (lo, hi) order: every part
+    after the (j+1)-th has hi >= lo >= los[j+1].  So the j+1 first parts
+    all end below los[j+1] exactly when the j+1 smallest his do, and then
+    those are the his of the j+1 first parts, whose largest is his[j].
+    These are the runs of a sweep over the sorted (lo, hi) pairs in which
+    touching ends merge (lo <= the run's hi).  The ends are the floats a
+    ball's (c - d, c + d) would hold, and the merged lists differ from
+    sorted ones only in the order of equal values, which never mattered,
     as a signed zero only changes terms that are zero.  So the sweep adds
     the same terms in the same order, with plain `+=`: `sum()` is
     compensated from Python 3.12 on.
     """
+    centres: list[float] = []
     los: list[float] = []
     his: list[float] = []
     d = float(delta)
     for leaf in ls:
         if isinstance(leaf, Finite):
-            points = [float(p) for p in leaf.points]
-            los.extend([x - d for x in points])
-            his.extend([x + d for x in points])
+            centres.extend(map(float, leaf.points))
         elif isinstance(leaf, Seq):
-            _seq_float_parts(leaf.limit, leaf.tail, delta, los, his)
+            _seq_float_parts(leaf.limit, leaf.tail, delta, centres, los, his)
         elif isinstance(leaf, IntervalSet):
             los.append(float(leaf.iv.lo) - d)
             his.append(float(leaf.iv.hi) + d)
@@ -378,17 +401,20 @@ def _lavg_eval_float(ls, delta) -> float:
             parts = neighborhood(leaf, delta, budget=200_000).parts
             los.extend([float(p.lo) for p in parts])
             his.extend([float(p.hi) for p in parts])
+    centres.sort()
     los.sort()
     his.sort()
+    los = _ends(centres, sub, d, los)
+    his = _ends(centres, add, d, his)
     measure = 0.0
     moment = 0.0
-    lo = los[0]
-    for nxt, hi in zip(islice(los, 1, None), his):
+    lo = next(los)
+    for nxt, hi in zip(los, his):  # zip pulls los first: his keeps its last
         if nxt > hi:
             measure += hi - lo
             moment += (hi * hi - lo * lo) / 2
             lo = nxt
-    hi = his[-1]
+    hi = next(his)
     measure += hi - lo
     moment += (hi * hi - lo * lo) / 2
     return moment / measure
@@ -526,18 +552,19 @@ def _run_cells(base: Rat, tf: TermFun, idx: range, a: Rat, b: Rat, n: int) -> li
 
 def _cover(n: int, base: tuple[Rat, Rat], cells: list[int], spans: list[tuple[int, int]]) -> CellCover:
     """The cover of the point cells and the hull spans: the spans merged, and
-    each distinct point cell that no span holds."""
+    each distinct point cell that no span holds.  Empties `cells`."""
     spans = _merge_ranges(spans)
     cells.sort()
+    uniq = []
     if cells:  # neighbours at a run's end can share a cell, and so can two runs
-        cells = [*compress(cells, map(ne, cells, islice(cells, 1, None))), cells[-1]]
-    kept: list[int] = []
-    i = 0
+        uniq = [*compress(cells, map(ne, cells, islice(cells, 1, None))), cells[-1]]
+    cells.clear()
+    cuts = [0]  # uniq[cuts[2k]:cuts[2k+1]] lies between spans k-1 and k
     for lo, hi in spans:
-        j = bisect_left(cells, lo, i)
-        kept.extend(cells[i:j])
-        i = bisect_right(cells, hi, j)
-    kept.extend(cells[i:])
+        j = bisect_left(uniq, lo, cuts[-1])
+        cuts += j, bisect_right(uniq, hi, j)
+    cuts.append(len(uniq))
+    kept = chain.from_iterable(uniq[i:j] for i, j in zip(cuts[::2], cuts[1::2]))
     return CellCover(n, base, spans, tuple(kept))
 
 

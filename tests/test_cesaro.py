@@ -8,6 +8,7 @@ import pytest
 
 from setmeans import (
     Affine,
+    BudgetExceeded,
     Degenerate,
     MergeParams,
     NoWitness,
@@ -439,6 +440,55 @@ def test_dense_edge_membership_is_its_values(lo, hi, target_hi):
     den = 1 << 10
     grid = {F(m, den) for m in range(math.floor(d.lo * den) - 1, math.ceil(d.hi * den) + 2)}
     assert {v for v in grid if st.contains(v)} == grid & emitted
+
+
+def _dense_edge_values_by_set(d, ascending_to_top):
+    """`cesaro._dense_edge_values` as it skipped repeats with a set of
+    every value it had emitted."""
+    seen = set()
+    for j in range(1, 4001):
+        den = 1 << j
+        if ascending_to_top:
+            m = (d.hi * den).__ceil__() - 1
+        else:
+            m = (d.lo * den).__floor__() + 1
+        v = F(m, den)
+        if d.lo < v < d.hi and v not in seen:
+            seen.add(v)
+            yield float(v), v
+    raise BudgetExceeded("dense edge stream exhausted its depth")
+
+
+def _drain(values):
+    got = []
+    with pytest.raises(BudgetExceeded):
+        for row in values:
+            got.append(row)
+    return got
+
+
+@pytest.mark.parametrize("target_hi", [True, False])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 1),
+        (F(1, 2), F(3, 4)),
+        (F(1, 3), F(2, 3)),
+        (F(-5, 7), F(1, 10)),
+        (-2, -1),
+        (3, 3 + F(1, 1000)),
+        (F(1, 3), F(1, 3) + F(1, 10**9)),
+        (F(-1, 2**20), F(1, 2**20)),
+    ],
+    ids=str,
+)
+def test_dense_edge_values_skip_repeats_by_parity(lo, hi, target_hi):
+    # level j repeats level j-1's value exactly when j > 1 and m is even;
+    # both generators run their 4000 levels, so the rows must agree
+    d = Dense(F(lo), F(hi))
+    got = _drain(cesaro._dense_edge_values(d, target_hi))
+    want = _drain(_dense_edge_values_by_set(d, target_hi))
+    assert [(f.hex(), v) for f, v in got] == [(f.hex(), v) for f, v in want]
 
 
 # ---------------------------------------------------------------------------
