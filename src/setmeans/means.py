@@ -10,9 +10,10 @@ order of magnitude wider.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import add, ne, sub
 
@@ -314,15 +315,53 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
 
 
 # ---------------------------------------------------------------------------
+# ascending runs in chunks, for the float lavg sweep and the eds cover
+
+
+_CHUNK = 4096  # values computed, shifted and merged at a time
+
+
+def _slices(values):
+    """The list or range `values` in consecutive slices of _CHUNK."""
+    return (values[i : i + _CHUNK] for i in range(0, len(values), _CHUNK))
+
+
+def _merge_chunks(runs):
+    """The values of the ascending chunk iterators `runs`, in ascending
+    chunks.  Each round takes every run's values up to the least last value
+    among the current chunks and sorts them, a C merge of sorted runs.  The
+    runs whose chunk ends at that value move on to their next chunk, which
+    starts no lower, and the others keep their values above it, so each
+    round's values are at least the last round's."""
+    heads = [(chunk, 0, run) for run in map(iter, runs) for chunk in islice(run, 1)]
+    while heads:
+        cut = min(chunk[-1] for chunk, _, _ in heads)
+        out: list = []
+        live = []
+        for chunk, i, run in heads:
+            j = bisect_right(chunk, cut, i)
+            out += chunk[i:j]
+            if j < len(chunk):
+                live.append((chunk, j, run))
+            else:
+                live.extend((nxt, 0, run) for nxt in islice(run, 1))
+        heads = live
+        out.sort()
+        yield out
+
+
+# ---------------------------------------------------------------------------
 # neighbourhood-average mean
 
 
 _EXACT_NBR_BUDGET = 3000
 
 
-def _seq_float_parts(limit, tf, delta, centres, los, his):
-    """Append one sequence leaf's parts: the centre of each resolved point's
-    ball to `centres`, and the ends of its tail cover to `los` and `his`."""
+def _seq_float_parts(limit, tf, delta, centres, runs, los, his):
+    """Add one sequence leaf's parts: the centre of each resolved point's
+    ball to `centres`, or, for a single-power run longer than one chunk, its
+    ascending chunks of centres to `runs`; the ends of its tail cover go to
+    `los` and `his`."""
     d = float(delta)
     idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
@@ -330,58 +369,78 @@ def _seq_float_parts(limit, tf, delta, centres, los, his):
     los.append(min(lf, x_r) - d)
     his.append(max(lf, x_r) + d)
     pw = tf_single_pow(tf)
-    if pw is not None:
-        c, p = float(pw.c), pw.p
-        centres.extend([lf + c / n**p for n in idx])
-    else:
+    if pw is None:
         centres.extend([lf + tf_value_float(tf, n) for n in idx])
+    elif len(idx) > _CHUNK:
+        runs.append(_power_centres(lf, float(pw.c), pw.p, idx))
+    else:
+        centres.extend(chain.from_iterable(_power_centres(lf, float(pw.c), pw.p, idx)))
 
 
-_CHUNK = 4096  # centres shifted and merged at a time
+def _power_centres(lf, c, p, idx):
+    """Ascending chunks of the centres lf + c/n**p, n in idx.  Rounding is
+    monotone, in the conversion of n**p to a float too, so they fall as n
+    grows when c > 0 and rise when c < 0."""
+    for ns in _slices(idx[::-1] if c > 0 else idx):
+        yield [lf + c / n**p for n in ns]
+
+
+def _fork(chunks):
+    """Two iterators over `chunks`, each chunk kept only until both sides
+    have taken it (`itertools.tee` keeps its items in blocks of 57)."""
+    chunks = iter(chunks)
+
+    def side(mine, theirs):
+        while True:
+            if mine:
+                yield mine.popleft()
+                continue
+            chunk = next(chunks, None)
+            if chunk is None:
+                return
+            theirs.append(chunk)
+            yield chunk
+
+    ahead: tuple[deque, deque] = (deque(), deque())  # taken by one side only
+    return side(*ahead), side(*ahead[::-1])
 
 
 def _ends(centres, shift, d, others):
-    """The ends shift(c, d) of the balls around the sorted `centres` and the
-    sorted `others`, in one ascending iterator.  Each chunk shifts the next
-    _CHUNK centres, takes the others up to its last end and sorts, which
-    merges the two sorted runs; a last chunk holds the remaining others."""
-
-    def chunks():
-        k = 0
-        for i in range(0, len(centres), _CHUNK):
-            ends = list(map(shift, centres[i : i + _CHUNK], repeat(d)))
-            j = bisect_right(others, ends[-1], k)
-            ends += others[k:j]
-            ends.sort()
-            yield ends
-            k = j
-        yield others[k:]
-
-    return chain.from_iterable(chunks())
+    """The ends shift(c, d) of the balls around the ascending chunks of
+    `centres`, merged with the sorted `others` into one ascending iterator."""
+    shifted = (list(map(shift, chunk, repeat(d))) for chunk in centres)
+    return chain.from_iterable(_merge_chunks([shifted, _slices(others)]))
 
 
 def _lavg_eval_float(ls, delta) -> float:
     """The float neighbourhood average of the leaves `ls` at radius delta.
 
     A ball of radius d, around a Finite point or a resolved sequence point,
-    keeps only its centre c; every other part keeps its two ends.  Rounding
-    is monotone, so c - d and c + d over the sorted centres come out
-    sorted, and `_ends` merges them with the other parts' sorted ends into
-    the sorted lists of all low ends, `los`, and all high ends, `his`.  A
-    merged run ends after j exactly when los[j+1] > his[j], and it spans
-    los[start] to his[j].  Take the parts in (lo, hi) order: every part
-    after the (j+1)-th has hi >= lo >= los[j+1].  So the j+1 first parts
-    all end below los[j+1] exactly when the j+1 smallest his do, and then
-    those are the his of the j+1 first parts, whose largest is his[j].
-    These are the runs of a sweep over the sorted (lo, hi) pairs in which
-    touching ends merge (lo <= the run's hi).  The ends are the floats a
-    ball's (c - d, c + d) would hold, and the merged lists differ from
-    sorted ones only in the order of equal values, which never mattered,
-    as a signed zero only changes terms that are zero.  So the sweep adds
-    the same terms in the same order, with plain `+=`: `sum()` is
-    compensated from Python 3.12 on.
+    keeps only its centre c; every other part keeps its two ends.  A
+    single-power tail limit + c/n^p longer than one chunk streams its
+    centres lf + c/n**p as they are needed: rounding is monotone, in the
+    conversion of n**p to a float past 2^53 too, so they come out sorted
+    when n runs down for c > 0 and up for c < 0.  The other centres are
+    sorted in one list.  `_merge_chunks` merges these ascending runs into
+    ascending chunks of centres, and `_fork` hands each chunk to both
+    sides.  Rounding is monotone again, so c - d and c + d over the sorted
+    centres come out sorted, and `_ends` merges them with the other parts'
+    sorted ends into the ascending low ends, `los`, and the ascending high
+    ends, `his`.  A merged run ends after j exactly when los[j+1] > his[j],
+    and it spans los[start] to his[j].  Take the parts in (lo, hi) order:
+    every part after the (j+1)-th has hi >= lo >= los[j+1].  So the j+1
+    first parts all end below los[j+1] exactly when the j+1 smallest his
+    do, and then those are the his of the j+1 first parts, whose largest
+    is his[j].  These are the runs of a sweep over the sorted (lo, hi)
+    pairs in which touching ends merge (lo <= the run's hi).  The ends are
+    the floats a ball's (c - d, c + d) would hold, and the merged streams
+    differ from sorted lists only in the order of equal values, which
+    never mattered, as a signed zero only changes terms that are zero.  So
+    the sweep adds the same terms in the same order, with plain `+=`:
+    `sum()` is compensated from Python 3.12 on.
     """
     centres: list[float] = []
+    runs: list = []
     los: list[float] = []
     his: list[float] = []
     d = float(delta)
@@ -389,7 +448,7 @@ def _lavg_eval_float(ls, delta) -> float:
         if isinstance(leaf, Finite):
             centres.extend(map(float, leaf.points))
         elif isinstance(leaf, Seq):
-            _seq_float_parts(leaf.limit, leaf.tail, delta, centres, los, his)
+            _seq_float_parts(leaf.limit, leaf.tail, delta, centres, runs, los, his)
         elif isinstance(leaf, IntervalSet):
             los.append(float(leaf.iv.lo) - d)
             his.append(float(leaf.iv.hi) + d)
@@ -404,8 +463,9 @@ def _lavg_eval_float(ls, delta) -> float:
     centres.sort()
     los.sort()
     his.sort()
-    los = _ends(centres, sub, d, los)
-    his = _ends(centres, add, d, his)
+    low, high = _fork(_merge_chunks([_slices(centres), *runs]))
+    los = _ends(low, sub, d, los)
+    his = _ends(high, add, d, his)
     measure = 0.0
     moment = 0.0
     lo = next(los)
@@ -451,24 +511,82 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
 @dataclass(frozen=True)
 class CellCover:
     """Occupied cells of a uniform left-closed grid over [a, b): merged
-    inclusive spans of cells, plus the single cells outside every span."""
+    inclusive spans of cells, plus the single cells of resolved points
+    outside every span.  The single cells are not stored: each of `runs`
+    gives one ascending run of point cells in chunks, and each pass merges
+    the runs and drops repeated cells and the cells a span holds."""
 
     n: int
     base: tuple[Rat, Rat]
     spans: tuple[tuple[int, int], ...]  # inclusive index ranges, merged
-    cells: tuple[int, ...]  # ascending, each outside every span
+    runs: tuple  # callables, each returning one run's ascending chunks
+
+    def _singles(self):
+        """Ascending chunks of the distinct point cells outside every span.
+        Neighbours at a run's end can share a cell, and so can two runs."""
+        spans, k, last = self.spans, 0, None
+        for chunk in _merge_chunks([run() for run in self.runs]):
+            uniq = [*compress(chunk, map(ne, chunk, islice(chunk, 1, None))), chunk[-1]]
+            i = int(uniq[0] == last)  # the last chunk's last cell again
+            last = uniq[-1]
+            out = []
+            while k < len(spans) and spans[k][0] <= last:
+                lo, hi = spans[k]
+                j = bisect_left(uniq, lo, i)
+                out += uniq[i:j]
+                i = bisect_right(uniq, hi, j)
+                if hi > last:
+                    break  # the span goes on into the next chunk
+                k += 1
+            out += uniq[i:]
+            if out:
+                yield out
+
+    @cached_property
+    def cells(self) -> tuple[int, ...]:
+        """The single cells, ascending, each outside every span."""
+        return tuple(chain.from_iterable(self._singles()))
+
+    @cached_property
+    def _tally(self) -> tuple[int, int]:
+        """The number and the index sum of the single cells, in one pass."""
+        count = total = 0
+        for chunk in self._singles():
+            count += len(chunk)
+            total += sum(chunk)
+        return count, total
 
     @cached_property
     def ranges(self) -> tuple[tuple[int, int], ...]:
-        """Every occupied cell as merged inclusive index ranges, sorted."""
-        return _merge_ranges([(j, j) for j in self.cells] + list(self.spans))
+        """Every occupied cell as merged inclusive index ranges, sorted.  The
+        runs of consecutive single cells come from one pass over them; a
+        span takes in a run that touches it."""
+        cells = [*chain.from_iterable(self._singles())]
+        self.__dict__.setdefault("_tally", (len(cells), sum(cells)))  # count() needs no second pass
+        gaps = [*map(ne, islice(cells, 1, None), map(add, cells, repeat(1)))]
+        firsts = [*cells[:1], *compress(islice(cells, 1, None), gaps)]
+        runs = [*zip(firsts, [*compress(cells, gaps), *cells[-1:]])]
+        out: list[tuple[int, int]] = []
+        i = 0
+        for lo, hi in self.spans:
+            j = bisect_left(runs, (lo,), i)  # the runs below the span
+            out += runs[i:j]
+            if out and out[-1][1] + 1 == lo:
+                lo = out.pop()[0]
+            if j < len(runs) and runs[j][0] == hi + 1:
+                hi = runs[j][1]
+                j += 1
+            out.append((lo, hi))
+            i = j
+        out += runs[i:]
+        return tuple(out)
 
     def count(self) -> int:
-        return len(self.cells) + sum(hi - lo + 1 for lo, hi in self.spans)
+        return self._tally[0] + sum(hi - lo + 1 for lo, hi in self.spans)
 
     def index_sum(self) -> int:
         spans = sum((hi * (hi + 1) - (lo - 1) * lo) // 2 for lo, hi in self.spans)
-        return sum(self.cells) + spans
+        return self._tally[1] + spans
 
     def left_endpoint_mean(self) -> Rat:
         cnt = self.count()
@@ -540,32 +658,33 @@ def _run_cells(base: Rat, tf: TermFun, idx: range, a: Rat, b: Rat, n: int) -> li
     pw = tf_single_pow(tf)
     if pw is None or len(idx) <= 64:
         return [_cell_of_seq_point(tf, i, base, a, b, n) for i in idx]
-    # integer fast path: floor(((base + c/i^p) - a) * n / (b - a)) is
-    # (A*i^p + B) // (C*i^p) over the numerators and denominators
+    return [*chain.from_iterable(_power_cells(base, pw, idx, a, b, n))]
+
+
+def _power_cells(base: Rat, pw, idx: range, a: Rat, b: Rat, n: int):
+    """Ascending chunks of the exact cells of base + c/i^p, i in idx.
+
+    floor(((base + c/i^p) - a) * n / (b - a)) is (A*q + B) // (C*q) with
+    q = i^p, over the numerators and denominators.  C > 0 and B has the
+    sign of c, so the cells fall as i grows when c > 0 and rise when c < 0.
+    """
     off, c, w = base - a, pw.c, b - a
     A = off.numerator * c.denominator * n * w.denominator
     B = c.numerator * off.denominator * n * w.denominator
     C = off.denominator * c.denominator * w.numerator
-    powers = idx if pw.p == 1 else [i**pw.p for i in idx]
-    return [(A * q + B) // (C * q) for q in powers]
+    for js in _slices(idx[::-1] if c > 0 else idx):
+        qs = js if pw.p == 1 else [i**pw.p for i in js]
+        yield [(A * q + B) // (C * q) for q in qs]
 
 
-def _cover(n: int, base: tuple[Rat, Rat], cells: list[int], spans: list[tuple[int, int]]) -> CellCover:
-    """The cover of the point cells and the hull spans: the spans merged, and
-    each distinct point cell that no span holds.  Empties `cells`."""
-    spans = _merge_ranges(spans)
+def _cover(
+    n: int, base: tuple[Rat, Rat], cells: list[int], runs: list, spans: list[tuple[int, int]]
+) -> CellCover:
+    """The cover of the point cells, the streamed runs of point cells and the
+    hull spans: the spans merged, and the point cells sorted into one more
+    run."""
     cells.sort()
-    uniq = []
-    if cells:  # neighbours at a run's end can share a cell, and so can two runs
-        uniq = [*compress(cells, map(ne, cells, islice(cells, 1, None))), cells[-1]]
-    cells.clear()
-    cuts = [0]  # uniq[cuts[2k]:cuts[2k+1]] lies between spans k-1 and k
-    for lo, hi in spans:
-        j = bisect_left(uniq, lo, cuts[-1])
-        cuts += j, bisect_right(uniq, hi, j)
-    cuts.append(len(uniq))
-    kept = chain.from_iterable(uniq[i:j] for i, j in zip(cuts[::2], cuts[1::2]))
-    return CellCover(n, base, spans, tuple(kept))
+    return CellCover(n, base, _merge_ranges(spans), (partial(_slices, cells), *runs))
 
 
 def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000) -> CellCover:
@@ -573,8 +692,10 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
 
     Each leaf is read at the cell width (`read_at_scale`): a run's points
     fall in their exact cells, and its chained hull and every other hull
-    occupy the span of cells they meet.  A leaf costs len(bases) *
-    (len(idx) + 1) + len(hulls) cells and spans, and BudgetExceeded is
+    occupy the span of cells they meet.  A single-power run longer than one
+    chunk is not stored: the cover computes its cells again in ascending
+    chunks on each pass.  A leaf costs len(bases) * (len(idx) + 1) +
+    len(hulls) cells and spans, stored or not, and BudgetExceeded is
     raised when the leaves together cost more than `budget`.
     """
     if n < 1:
@@ -586,15 +707,22 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     if lo < a or hi > b or (hi == b and hi_att):
         raise OutOfBase("point set must lie inside [a, b)")
     cells: list[int] = []
+    runs: list = []  # the cell chunks of each streamed run, on demand
+    streamed = 0
     spans: list[tuple[int, int]] = []
     for leaf in leaves(s):
-        spent = len(cells) + len(spans)
+        spent = len(cells) + streamed + len(spans)
         bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - spent)
+        pw = tf_single_pow(tf) if len(idx) > _CHUNK else None
         for x in bases:
-            cells.extend(_run_cells(x, tf, idx, a, b, n))
+            if pw is None:
+                cells.extend(_run_cells(x, tf, idx, a, b, n))
+            else:
+                runs.append(partial(_power_cells, x, pw, idx, a, b, n))
+                streamed += len(idx)
             spans.append(_iv_cells(run_hull.shift(x), a, b, n))
         spans.extend(_iv_cells(h, a, b, n) for h in hulls)
-    return _cover(n, (a, b), cells, spans)
+    return _cover(n, (a, b), cells, runs, spans)
 
 
 def default_base(s: SetExpr) -> tuple[Rat, Rat]:

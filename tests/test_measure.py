@@ -40,9 +40,12 @@ from setmeans import (
     split_at,
     Affine,
     Union,
+    PowTerm,
+    seq,
+    term_fun,
 )
 from setmeans import means
-from setmeans.means import CellCover, _cell_of_seq_point, _iv_cells, _lavg_eval_float
+from setmeans.means import _cell_of_seq_point, _iv_cells, _lavg_eval_float
 from setmeans.measure import read_at_scale
 from setmeans.setexpr import Finite, IntervalSet, Seq, bounds, leaves
 from setmeans.terms import (
@@ -636,12 +639,60 @@ def test_lavg_float_sweep_with_fallback_parts(case):
     assert _lavg_eval_float(ls, delta).hex() == _lavg_float_by_heap_merge(ls, delta).hex()
 
 
-def _cover_by_dict(n, base, cells, spans):
-    """`means._cover` with its duplicate cells dropped by a dict."""
-    spans = means._merge_ranges(spans)
-    cells = sorted(dict.fromkeys(cells))
-    kept = [j for j in cells if not any(lo <= j <= hi for lo, hi in spans)]
-    return CellCover(n, base, spans, tuple(kept))
+@st.composite
+def _interleaved_tails(draw):
+    """2 to 4 single-power tails limit + c/n^p of both signs, p in {1, 2, 3}
+    and c mostly non-unit, around limits close enough that their resolved
+    points interleave, with Finite points and intervals between them."""
+    delta = F(1, 2 ** draw(st.integers(6, 16)))
+    ls = []
+    for _ in range(draw(st.integers(2, 4))):
+        limit = F(draw(st.integers(-3, 3)), draw(st.sampled_from([16, 64, 100])))
+        c = F(draw(st.sampled_from([1, 2, 3, 5, 7])), draw(st.sampled_from([1, 3, 8])))
+        c *= draw(st.sampled_from([1, -1]))
+        ls.append(seq(limit, term_fun([PowTerm(c, draw(st.sampled_from([1, 2, 3])))])))
+    spot = st.builds(F, st.integers(-60, 60), st.sampled_from([64, 96, 1000]))
+    for _ in range(draw(st.integers(0, 3))):
+        ls.append(Finite(tuple(draw(st.lists(spot, min_size=1, max_size=4, unique=True)))))
+    for _ in range(draw(st.integers(0, 2))):
+        lo, hi = sorted(draw(st.lists(spot, min_size=2, max_size=2, unique=True)))
+        ls.append(IntervalSet(Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))))
+    return leaves(Union(tuple(ls))), delta
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_interleaved_tails())
+def test_lavg_float_sweep_merges_streamed_tails(case):
+    # with a few centres to a chunk, every tail longer than a chunk is
+    # streamed, and its chunks interleave with the other tails' and the
+    # sorted list of the other centres
+    ls, delta = case
+    want = _lavg_float_by_heap_merge(ls, delta).hex()
+    for chunk in (3, 5):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(means, "_CHUNK", chunk)
+            assert _lavg_eval_float(ls, delta).hex() == want, chunk
+
+
+def _cover_by_dict(cells, runs, spans):
+    """The cover of the cells and the streamed runs, every cell materialized
+    and its repeats dropped by a dict; the spans, ranges and index counts
+    come from the set of every occupied cell."""
+    cells = dict.fromkeys(cells + [j for run in runs for chunk in run() for j in chunk])
+    in_spans = {j for lo, hi in spans for j in range(lo, hi + 1)}
+    occupied = sorted(in_spans.union(cells))
+
+    def ranges(js):
+        out = []
+        for j in js:
+            if out and j == out[-1][1] + 1:
+                out[-1][1] = j
+            else:
+                out.append([j, j])
+        return tuple(map(tuple, out))
+
+    kept = tuple(sorted(j for j in cells if j not in in_spans))
+    return ranges(sorted(in_spans)), kept, ranges(occupied), occupied
 
 
 @pytest.mark.parametrize(
@@ -650,18 +701,46 @@ def _cover_by_dict(n, base, cells, spans):
         (L_TEXT, range(8, 21)),  # neighbours at a run's end share a cell
         ("{1/n} U {1/n^2} U {2/n}", range(4, 17, 3)),  # runs share cells
         ("{1/n} U [1/3, 1/2]", range(4, 17, 3)),  # point cells inside a span
+        ("{1/n} U {-1/n}", range(4, 17, 3)),  # runs falling and rising around a span
     ],
 )
 def test_eds_cover_matches_a_dict_dedup(monkeypatch, text, exps):
+    # `means._cover` gets the stored cells, the streamed runs and the spans;
+    # with a few cells to a chunk most runs stream, their chunks share
+    # cells across their edges and spans cut them mid-chunk
     s = parse(text)
     base = default_base(s)
-    for k in exps:
-        got = eds_cells(s, 2**k, base)
-        with monkeypatch.context() as m:
-            m.setattr(means, "_cover", _cover_by_dict)
-            want = eds_cells(s, 2**k, base)
-        assert (got.spans, got.cells) == (want.spans, want.cells), (text, k)
-        assert (got.count(), got.index_sum()) == (want.count(), want.index_sum())
+    wants = []
+    cover = means._cover
+
+    def spy(n, base, cells, runs, spans):
+        wants.append(_cover_by_dict(cells, runs, spans))
+        return cover(n, base, cells, runs, spans)
+
+    monkeypatch.setattr(means, "_cover", spy)
+    for chunk in (3, 5, means._CHUNK):
+        monkeypatch.setattr(means, "_CHUNK", chunk)
+        for k in exps:
+            got = eds_cells(s, 2**k, base)
+            spans, cells, ranges, occupied = wants.pop()
+            assert (got.spans, got.cells) == (spans, cells), (text, chunk, k)
+            assert (got.count(), got.index_sum()) == (len(occupied), sum(occupied))
+            assert (got.ranges, list(got.indices())) == (ranges, occupied)
+
+
+@pytest.mark.parametrize("text, k", [(L_TEXT, 20), ("{1/n} U {1 + 1/n + 1/k}", 12)])
+def test_eds_budget_counts_streamed_runs(monkeypatch, text, k):
+    # a streamed run costs its points as a stored one does
+    monkeypatch.setattr(means, "_CHUNK", 16)
+    s, n = parse(text), 2**k
+    a, b = base = default_base(s)
+    cost = 0
+    for leaf in leaves(s):
+        bases, _, idx, _, hulls = read_at_scale(leaf, (b - a) / n, 10**9)
+        cost += len(bases) * (len(idx) + 1) + len(hulls)
+    assert len(eds_cells(s, n, base, cost).runs) > 1  # the stored cells and streamed runs
+    with pytest.raises(BudgetExceeded):
+        eds_cells(s, n, base, cost - 1)
 
 
 def _peak_bytes(call):
@@ -673,15 +752,17 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_limit_means_keep_flat_per_point_lists():
-    # the float lavg sweep holds one float per ball, its centre (about 41 B
-    # with the list's pointer), and shifts the centres to their ends a chunk
-    # at a time, not two stored ends (74 B) or a tuple of them (153 B); the
-    # eds cover drops duplicate cells without a dict and builds its cells
-    # tuple in one pass from them (57 B a cell, with the cell's int)
-    ls, delta = leaves(L), F(1, 2**34)
-    points = sum(len(tf_chain(leaf.tail, 2 * delta)[0]) for leaf in ls)
-    assert _peak_bytes(lambda: _lavg_eval_float(ls, delta)) <= 50 * points
-    n, base = 2**34, default_base(L)
-    cells = len(eds_cells(L, n, base).cells)
-    assert _peak_bytes(lambda: eds_cells(L, n, base)) <= 62 * cells
+def test_limit_means_peak_in_chunk_bounded_memory():
+    # the float lavg sweep and the eds cover stream the resolved points of a
+    # power tail chunk by chunk, so their peak does not grow with the
+    # point count: L resolves 454k points for the sweep and 303k for the
+    # cells at 2^-38, 16 times as many as at 2^-30
+    ls, base = leaves(L), default_base(L)
+
+    def peaks(k):
+        lavg = _peak_bytes(lambda: _lavg_eval_float(ls, F(1, 2**k)))
+        eds = _peak_bytes(lambda: eds_cells(L, 2**k, base).left_endpoint_mean())
+        return lavg, eds
+
+    for coarse, fine in zip(peaks(30), peaks(38)):
+        assert fine < 2 * 2**20 and fine <= 1.25 * coarse, (coarse, fine)
