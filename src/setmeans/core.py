@@ -418,6 +418,25 @@ def iu_contains_union(big: IntervalUnion, small: IntervalUnion) -> bool:
     return True
 
 
+def _merge_ranges(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The inclusive integer ranges merged where they overlap or touch,
+    sorted."""
+    ranges = sorted(ranges)
+    if not ranges:
+        return ()
+    out: list[tuple[int, int]] = []
+    lo, hi = ranges[0]
+    for a, b in ranges:
+        if a <= hi + 1:
+            if b > hi:
+                hi = b
+        else:
+            out.append((lo, hi))
+            lo, hi = a, b
+    out.append((lo, hi))
+    return tuple(out)
+
+
 def singleton(x: Rat) -> MeanSet:
     return IntervalUnion((point(x),))
 

@@ -1,10 +1,12 @@
 """Single-valued means with a shared limit-detection engine.
 
-Every limit-based mean evaluates an exact quantity along a dyadic schedule
+Every limit-based mean evaluates a quantity along a dyadic schedule
 (shrinking neighbourhood radii or doubling sample grids) and feeds the trace
 to a common detector: a limit is declared when a trailing window of values
 agrees within the tolerance, divergence when the trailing band stays an
-order of magnitude wider.
+order of magnitude wider.  The quantity is exact for `mean_eds`; `lavg`
+switches to a float sweep where the exact neighbourhood would take more
+than `_EXACT_NBR_BUDGET` parts, and `mean_iso` sums floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import add, ne, sub
 
-from .core import Interval, Rat, arithmetic_mean, avg_iu, rat
+from .core import Interval, Rat, _merge_ranges, arithmetic_mean, avg_iu, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -359,9 +361,8 @@ _EXACT_NBR_BUDGET = 3000
 
 def _seq_float_parts(limit, tf, delta, centres, runs, los, his):
     """Add one sequence leaf's parts: the centre of each resolved point's
-    ball to `centres`, or, for a single-power run longer than one chunk, its
-    ascending chunks of centres to `runs`; the ends of its tail cover go to
-    `los` and `his`."""
+    ball to `centres`, or, for a single-power tail, its ascending chunks of
+    centres to `runs`; the ends of its tail cover go to `los` and `his`."""
     d = float(delta)
     idx = tf_chain(tf, 2 * delta)[0]
     lf = float(limit)
@@ -371,10 +372,8 @@ def _seq_float_parts(limit, tf, delta, centres, runs, los, his):
     pw = tf_single_pow(tf)
     if pw is None:
         centres.extend([lf + tf_value_float(tf, n) for n in idx])
-    elif len(idx) > _CHUNK:
-        runs.append(_power_centres(lf, float(pw.c), pw.p, idx))
     else:
-        centres.extend(chain.from_iterable(_power_centres(lf, float(pw.c), pw.p, idx)))
+        runs.append(_power_centres(lf, float(pw.c), pw.p, idx))
 
 
 def _power_centres(lf, c, p, idx):
@@ -416,14 +415,14 @@ def _lavg_eval_float(ls, delta) -> float:
     """The float neighbourhood average of the leaves `ls` at radius delta.
 
     A ball of radius d, around a Finite point or a resolved sequence point,
-    keeps only its centre c; every other part keeps its two ends.  A
-    single-power tail limit + c/n^p longer than one chunk streams its
-    centres lf + c/n**p as they are needed: rounding is monotone, in the
-    conversion of n**p to a float past 2^53 too, so they come out sorted
-    when n runs down for c > 0 and up for c < 0.  The other centres are
-    sorted in one list.  `_merge_chunks` merges these ascending runs into
-    ascending chunks of centres, and `_fork` hands each chunk to both
-    sides.  Rounding is monotone again, so c - d and c + d over the sorted
+    keeps only its centre c; every other part keeps its two ends.  Every
+    single-power tail limit + c/n^p streams its centres lf + c/n**p as they
+    are needed: rounding is monotone, in the conversion of n**p to a float
+    past 2^53 too, so they come out sorted when n runs down for c > 0 and
+    up for c < 0.  The other centres are sorted in one list.
+    `_merge_chunks` merges these ascending runs, one per such tail and the
+    list, into ascending chunks of centres, and `_fork` hands each chunk to
+    both sides.  Rounding is monotone again, so c - d and c + d over the sorted
     centres come out sorted, and `_ends` merges them with the other parts'
     sorted ends into the ascending low ends, `los`, and the ascending high
     ends, `his`.  A merged run ends after j exactly when los[j+1] > his[j],
@@ -508,18 +507,30 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
 # evenly-distributed-sample mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellCover:
     """Occupied cells of a uniform left-closed grid over [a, b): merged
     inclusive spans of cells, plus the single cells of resolved points
     outside every span.  The single cells are not stored: each of `runs`
     gives one ascending run of point cells in chunks, and each pass merges
-    the runs and drops repeated cells and the cells a span holds."""
+    the runs and drops repeated cells and the cells a span holds.  Two
+    covers are equal when their n, base, spans and single cells are."""
 
     n: int
     base: tuple[Rat, Rat]
     spans: tuple[tuple[int, int], ...]  # inclusive index ranges, merged
     runs: tuple  # callables, each returning one run's ascending chunks
+
+    def _key(self):
+        return self.n, self.base, self.spans, self.cells
+
+    def __eq__(self, other):
+        if not isinstance(other, CellCover):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _singles(self):
         """Ascending chunks of the distinct point cells outside every span.
@@ -558,28 +569,13 @@ class CellCover:
 
     @cached_property
     def ranges(self) -> tuple[tuple[int, int], ...]:
-        """Every occupied cell as merged inclusive index ranges, sorted.  The
-        runs of consecutive single cells come from one pass over them; a
-        span takes in a run that touches it."""
+        """Every occupied cell as merged inclusive index ranges, sorted: the
+        spans merged with the runs of consecutive single cells."""
         cells = [*chain.from_iterable(self._singles())]
-        self.__dict__.setdefault("_tally", (len(cells), sum(cells)))  # count() needs no second pass
         gaps = [*map(ne, islice(cells, 1, None), map(add, cells, repeat(1)))]
-        firsts = [*cells[:1], *compress(islice(cells, 1, None), gaps)]
-        runs = [*zip(firsts, [*compress(cells, gaps), *cells[-1:]])]
-        out: list[tuple[int, int]] = []
-        i = 0
-        for lo, hi in self.spans:
-            j = bisect_left(runs, (lo,), i)  # the runs below the span
-            out += runs[i:j]
-            if out and out[-1][1] + 1 == lo:
-                lo = out.pop()[0]
-            if j < len(runs) and runs[j][0] == hi + 1:
-                hi = runs[j][1]
-                j += 1
-            out.append((lo, hi))
-            i = j
-        out += runs[i:]
-        return tuple(out)
+        firsts = compress(cells, [True, *gaps])
+        lasts = compress(cells, [*gaps, True])
+        return _merge_ranges([*self.spans, *zip(firsts, lasts)])
 
     def count(self) -> int:
         return self._tally[0] + sum(hi - lo + 1 for lo, hi in self.spans)
@@ -599,24 +595,6 @@ class CellCover:
     def indices(self):
         for lo, hi in self.ranges:
             yield from range(lo, hi + 1)
-
-
-def _merge_ranges(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The inclusive ranges merged where they overlap or touch, sorted."""
-    if not ranges:
-        return ()
-    ranges.sort()
-    out: list[tuple[int, int]] = []
-    lo, hi = ranges[0]
-    for a, b in ranges:
-        if a <= hi + 1:
-            if b > hi:
-                hi = b
-        else:
-            out.append((lo, hi))
-            lo, hi = a, b
-    out.append((lo, hi))
-    return tuple(out)
 
 
 def _iv_cells(iv: Interval, a: Rat, b: Rat, n: int) -> tuple[int, int]:
@@ -653,14 +631,6 @@ def _cell_of_seq_point(tf: TermFun, idx: int, limit: Rat, a: Rat, b: Rat, n: int
     return i
 
 
-def _run_cells(base: Rat, tf: TermFun, idx: range, a: Rat, b: Rat, n: int) -> list[int]:
-    """The exact cells of the points base + tf(i), i in idx."""
-    pw = tf_single_pow(tf)
-    if pw is None or len(idx) <= 64:
-        return [_cell_of_seq_point(tf, i, base, a, b, n) for i in idx]
-    return [*chain.from_iterable(_power_cells(base, pw, idx, a, b, n))]
-
-
 def _power_cells(base: Rat, pw, idx: range, a: Rat, b: Rat, n: int):
     """Ascending chunks of the exact cells of base + c/i^p, i in idx.
 
@@ -692,11 +662,13 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
 
     Each leaf is read at the cell width (`read_at_scale`): a run's points
     fall in their exact cells, and its chained hull and every other hull
-    occupy the span of cells they meet.  A single-power run longer than one
-    chunk is not stored: the cover computes its cells again in ascending
-    chunks on each pass.  A leaf costs len(bases) * (len(idx) + 1) +
-    len(hulls) cells and spans, stored or not, and BudgetExceeded is
-    raised when the leaves together cost more than `budget`.
+    occupy the span of cells they meet.  A run of a single-power tail gets
+    its cells from `_power_cells` and is stored when it fits in one chunk; a
+    longer one is not, and the cover computes its cells again in ascending
+    chunks on each pass.  Any other run is read point by point.  A leaf
+    costs len(bases) * (len(idx) + 1) + len(hulls) cells and spans, stored
+    or not, and BudgetExceeded is raised when the leaves together cost more
+    than `budget`.
     """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
@@ -713,13 +685,15 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     for leaf in leaves(s):
         spent = len(cells) + streamed + len(spans)
         bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - spent)
-        pw = tf_single_pow(tf) if len(idx) > _CHUNK else None
+        pw = tf_single_pow(tf) if bases else None
         for x in bases:
             if pw is None:
-                cells.extend(_run_cells(x, tf, idx, a, b, n))
-            else:
+                cells.extend([_cell_of_seq_point(tf, i, x, a, b, n) for i in idx])
+            elif len(idx) > _CHUNK:
                 runs.append(partial(_power_cells, x, pw, idx, a, b, n))
                 streamed += len(idx)
+            else:
+                cells.extend(chain.from_iterable(_power_cells(x, pw, idx, a, b, n)))
             spans.append(_iv_cells(run_hull.shift(x), a, b, n))
         spans.extend(_iv_cells(h, a, b, n) for h in hulls)
     return _cover(n, (a, b), cells, runs, spans)
@@ -800,30 +774,21 @@ class OscillatingIsoSet:
             n_prev = self._counts[-1] if self._counts else 0
             s_prev = self._sums[-1] if self._sums else Fraction(0)
             lo, hi = self._stage_shell(j)
+            # odd stages take the average below low_target with points < hi,
+            # even stages over high_target with points > lo
             if j % 2 == 1:
-                # (s_prev + sum) / (n_prev + m) < low_target; points < hi
-                target = self.low_target
-                m = 1
-                while True:
-                    cnt, ssum = self._stage_points(j, m)
-                    if (s_prev + ssum) < target * (n_prev + cnt):
-                        break
-                    need = (s_prev - target * n_prev) / (target - hi)
-                    m = max(m * 2, int(need) + 1)
-                    if n_prev + m > budget:
-                        raise BudgetExceeded("oscillating construction too deep")
+                target, edge, side = self.low_target, hi, -1
             else:
-                target = self.high_target
-                m = 1
-                while True:
-                    cnt, ssum = self._stage_points(j, m)
-                    if (s_prev + ssum) > target * (n_prev + cnt):
-                        break
-                    need = (target * n_prev - s_prev) / (lo - target)
-                    m = max(m * 2, int(need) + 1)
-                    if n_prev + m > budget:
-                        raise BudgetExceeded("oscillating construction too deep")
-            cnt, ssum = self._stage_points(j, m)
+                target, edge, side = self.high_target, lo, 1
+            m = 1
+            while True:
+                cnt, ssum = self._stage_points(j, m)
+                if side * (s_prev + ssum - target * (n_prev + cnt)) > 0:
+                    break
+                need = (target * n_prev - s_prev) / (edge - target)
+                m = max(m * 2, int(need) + 1)
+                if n_prev + m > budget:
+                    raise BudgetExceeded("oscillating construction too deep")
             self._counts.append(n_prev + cnt)
             self._sums.append(s_prev + ssum)
 

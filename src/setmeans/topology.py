@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat, iu_normalize, point, rat
+from .core import Interval, Rat, _merge_ranges, iu_normalize, point, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -824,22 +824,11 @@ def _fast_leaf_scan(leaf, skip: set, points: list[Rat], delta: Rat, budget: int)
         raise BudgetExceeded("sequence survives near its own limit")
     if tail_end - m > 100_000_000:
         raise BudgetExceeded("isolated point budget exhausted")
-    excluded = [r for r in ((max(lo, m), min(hi, tail_end)) for lo, hi in excluded) if r[0] < r[1]]
-    excluded.sort()
-    merged: list[list[int]] = []
-    for lo, hi in excluded:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    survivors: list[tuple[int, int]] = []
-    cursor = m
-    for lo, hi in merged:
-        if lo > cursor:
-            survivors.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < tail_end:
-        survivors.append((cursor, tail_end))
+    # the survivors are the [lo, hi) gaps between the excluded ranges, taken
+    # inclusive and merged with the indices m - 1 and tail_end as bounds
+    cut = [(max(lo, m), min(hi, tail_end) - 1) for lo, hi in excluded]
+    cut = _merge_ranges([(m - 1, m - 1), *(r for r in cut if r[0] <= r[1]), (tail_end, tail_end)])
+    survivors = [(a + 1, b) for (_, a), (b, _) in zip(cut, cut[1:])]
     lf = float(leaf.limit)
     for lo, hi in survivors:
         if hi - lo > budget:

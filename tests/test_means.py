@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from setmeans import (
+    BudgetExceeded,
     Ideal,
     InIdeal,
     NonTerminating,
@@ -95,6 +96,12 @@ def test_oscillating_builder_stages():
     lo, hi = osc._stage_shell(3)
     assert all(lo < p < hi for p in pts)
     assert len(set(pts)) == len(pts)
+    # a budget of a stage's running count builds it, one less stops there:
+    # at an odd stage and at an even one
+    for j in (5, 6):
+        OscillatingIsoSet().ensure_stages(j, budget=osc._counts[j - 1])
+        with pytest.raises(BudgetExceeded):
+            OscillatingIsoSet().ensure_stages(j, budget=osc._counts[j - 1] - 1)
 
 
 def test_lavg_examples():

@@ -3,6 +3,7 @@
 import heapq
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
 from random import Random
@@ -663,12 +664,12 @@ def _interleaved_tails(draw):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(_interleaved_tails())
 def test_lavg_float_sweep_merges_streamed_tails(case):
-    # with a few centres to a chunk, every tail longer than a chunk is
-    # streamed, and its chunks interleave with the other tails' and the
-    # sorted list of the other centres
+    # every single-power tail is streamed: with a few centres to a chunk its
+    # chunks interleave with the other tails' and the sorted list of the
+    # other centres, and at the default chunk each tail is one chunk
     ls, delta = case
     want = _lavg_float_by_heap_merge(ls, delta).hex()
-    for chunk in (3, 5):
+    for chunk in (3, 5, 4096):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(means, "_CHUNK", chunk)
             assert _lavg_eval_float(ls, delta).hex() == want, chunk
@@ -741,6 +742,25 @@ def test_eds_budget_counts_streamed_runs(monkeypatch, text, k):
     assert len(eds_cells(s, n, base, cost).runs) > 1  # the stored cells and streamed runs
     with pytest.raises(BudgetExceeded):
         eds_cells(s, n, base, cost - 1)
+
+
+@pytest.mark.parametrize("text, k", [("{1/n}", 8), (L_TEXT, 20)])
+def test_cell_cover_compares_by_value(monkeypatch, text, k):
+    # covers compare and hash by n, base, spans and single cells, whether
+    # their runs are stored (the default chunk) or streamed (a chunk of 3)
+    s = parse(text)
+    base = (0, 2) if text == "{1/n}" else default_base(s)
+    covers = [eds_cells(s, 2**k, base) for _ in range(2)]
+    monkeypatch.setattr(means, "_CHUNK", 3)
+    covers += [eds_cells(s, 2**k, base) for _ in range(2)]
+    assert len(covers[0].runs) == 1 < len(covers[2].runs)
+    for one in covers:
+        for two in covers:
+            assert one == two and hash(one) == hash(two)
+        free = max(one.cells[-1], one.spans[-1][1]) + 2  # in no span, no cell
+        extra = replace(one, runs=(*one.runs, lambda: iter([[free]])))
+        assert len(extra.cells) == len(one.cells) + 1 and extra != one
+        assert replace(one, n=one.n + 1) != one
 
 
 def _peak_bytes(call):

@@ -17,7 +17,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("workload", ["exact", "limits", "stream"])
+@pytest.mark.parametrize("workload", ["exact", "limits", "stream", "cli"])
 def test_digests_equal_the_snapshot(workload):
     done = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--digests-only"],

@@ -315,9 +315,16 @@ def test_isolated_family_brute_oracle():
 
 
 def test_isolated_stats_matches_outside():
+    # the double-sequence sets test each candidate against the zone; in the
+    # last two, each leaf's survivors are summed in closed form around the
+    # index ranges that accumulation points cut out of its tail
     rng = Random(89)
-    for s in _seq2_sets(rng, 40):
-        delta = F(1, rng.randint(2, 16))
+    cases = [(s, F(1, rng.randint(2, 16))) for s in _seq2_sets(rng, 40)]
+    cases += [
+        (parse("{1/n} U {1/2 + 1/n^2}"), F(1, 50)),
+        (parse("{1/n} U {1/4 + 1/n^3} U {1/7 - 1/2^n}"), F(1, 300)),
+    ]
+    for s, delta in cases:
         pts = isolated_outside(s, delta)
         count, total = isolated_stats(s, delta)
         assert count == len(pts)
