@@ -11,6 +11,7 @@ than `_EXACT_NBR_BUDGET` parts, and `mean_iso` sums floats.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,10 +36,9 @@ from .measure import (
     read_at_scale,
 )
 from .setexpr import (
-    Dense,
     Finite,
     IntervalSet,
-    Seq,
+    Seq2,
     SetExpr,
     bounds,
     cantor_map,
@@ -48,7 +48,6 @@ from .setexpr import (
 )
 from .terms import (
     TermFun,
-    tf_chain,
     tf_cmp,
     tf_single_pow,
     tf_value_float,
@@ -97,6 +96,8 @@ class Schedule:
     early_stop: bool = True
 
     def __post_init__(self):
+        if self.kind not in ("delta", "grid"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.end_exp - self.start_exp + 1 < self.stability_window:
             raise ValueError("schedule shorter than its stability window")
         if self.tol <= 0:
@@ -119,6 +120,15 @@ def delta_schedule(start_exp=4, end_exp=40, tol=1e-4, window=3, early_stop=True)
 
 def grid_schedule(start_exp=10, end_exp=40, tol=1e-4, window=3, early_stop=True) -> Schedule:
     return Schedule("grid", start_exp, end_exp, tol, window, early_stop)
+
+
+def _schedule(sched: Schedule | None, kind: str) -> Schedule:
+    """sched, or the default one of `kind`; ValueError for the other kind."""
+    if sched is None:
+        return delta_schedule() if kind == "delta" else grid_schedule()
+    if sched.kind != kind:
+        raise ValueError(f"this mean takes a {kind} schedule, not a {sched.kind} one")
+    return sched
 
 
 def _band(values) -> float:
@@ -290,8 +300,7 @@ def mean_acc(s: SetExpr, max_depth: int = 32) -> MeanOutcome:
 
 
 def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000) -> MeanOutcome:
-    if sched is None:
-        sched = delta_schedule()
+    sched = _schedule(sched, "delta")
     if not is_infinite(s):
         pts = _finite_points(s)
         if not pts:
@@ -359,23 +368,6 @@ def _merge_chunks(runs):
 _EXACT_NBR_BUDGET = 3000
 
 
-def _seq_float_parts(limit, tf, delta, centres, runs, los, his):
-    """Add one sequence leaf's parts: the centre of each resolved point's
-    ball to `centres`, or, for a single-power tail, its ascending chunks of
-    centres to `runs`; the ends of its tail cover go to `los` and `his`."""
-    d = float(delta)
-    idx = tf_chain(tf, 2 * delta)[0]
-    lf = float(limit)
-    x_r = lf + tf_value_float(tf, idx.stop)
-    los.append(min(lf, x_r) - d)
-    his.append(max(lf, x_r) + d)
-    pw = tf_single_pow(tf)
-    if pw is None:
-        centres.extend([lf + tf_value_float(tf, n) for n in idx])
-    else:
-        runs.append(_power_centres(lf, float(pw.c), pw.p, idx))
-
-
 def _power_centres(lf, c, p, idx):
     """Ascending chunks of the centres lf + c/n**p, n in idx.  Rounding is
     monotone, in the conversion of n**p to a float too, so they fall as n
@@ -414,12 +406,16 @@ def _ends(centres, shift, d, others):
 def _lavg_eval_float(ls, delta) -> float:
     """The float neighbourhood average of the leaves `ls` at radius delta.
 
-    A ball of radius d, around a Finite point or a resolved sequence point,
-    keeps only its centre c; every other part keeps its two ends.  Every
-    single-power tail limit + c/n^p streams its centres lf + c/n**p as they
-    are needed: rounding is monotone, in the conversion of n**p to a float
-    past 2^53 too, so they come out sorted when n runs down for c > 0 and
-    up for c < 0.  The other centres are sorted in one list.
+    Each leaf is read at scale 2*delta by `read_at_scale`, as `neighborhood`
+    reads it, under a budget that never fires.  A run's resolved point keeps
+    the centre c of its ball of radius d; a hull, a finite point among them,
+    keeps the ends float(lo) - d and float(hi) + d, and a run's chained tail
+    the ends of its float cover (the exact run hull rounds differently).
+    Double sequences and cantor leaves give their exact neighbourhood parts.
+    Every single-power tail limit + c/n^p streams its centres lf + c/n**p
+    as they are needed: rounding is monotone, in the conversion of n**p to
+    a float past 2^53 too, so they come out sorted when n runs down for
+    c > 0 and up for c < 0.  The other centres are sorted in one list.
     `_merge_chunks` merges these ascending runs, one per such tail and the
     list, into ascending chunks of centres, and `_fork` hands each chunk to
     both sides.  Rounding is monotone again, so c - d and c + d over the sorted
@@ -444,21 +440,25 @@ def _lavg_eval_float(ls, delta) -> float:
     his: list[float] = []
     d = float(delta)
     for leaf in ls:
-        if isinstance(leaf, Finite):
-            centres.extend(map(float, leaf.points))
-        elif isinstance(leaf, Seq):
-            _seq_float_parts(leaf.limit, leaf.tail, delta, centres, runs, los, his)
-        elif isinstance(leaf, IntervalSet):
-            los.append(float(leaf.iv.lo) - d)
-            his.append(float(leaf.iv.hi) + d)
-        elif isinstance(leaf, Dense):
-            los.append(float(leaf.lo) - d)
-            his.append(float(leaf.hi) + d)
-        else:
+        if isinstance(leaf, Seq2) or cantor_map(leaf) is not None:
             # double sequences and cantor leaves fall back to exact parts
             parts = neighborhood(leaf, delta, budget=200_000).parts
             los.extend([float(p.lo) for p in parts])
             his.extend([float(p.hi) for p in parts])
+            continue
+        bases, tf, idx, _, hulls = read_at_scale(leaf, 2 * delta, math.inf)
+        los.extend([float(h.lo) - d for h in hulls])
+        his.extend([float(h.hi) + d for h in hulls])
+        pw = tf_single_pow(tf) if bases else None
+        for x in bases:
+            lf = float(x)
+            x_r = lf + tf_value_float(tf, idx.stop)
+            los.append(min(lf, x_r) - d)
+            his.append(max(lf, x_r) + d)
+            if pw is None:
+                centres.extend([lf + tf_value_float(tf, n) for n in idx])
+            else:
+                runs.append(_power_centres(lf, float(pw.c), pw.p, idx))
     centres.sort()
     los.sort()
     his.sort()
@@ -481,8 +481,7 @@ def _lavg_eval_float(ls, delta) -> float:
 
 def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
     """Limit of the neighbourhood average as the radius shrinks to zero."""
-    if sched is None:
-        sched = delta_schedule()
+    sched = _schedule(sched, "delta")
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
     ls = leaves(s)
@@ -711,8 +710,7 @@ def mean_eds(
     budget: int = 2_000_000,
 ) -> MeanOutcome:
     """Limit of averages of occupied-cell left endpoints on doubling grids."""
-    if sched is None:
-        sched = grid_schedule()
+    sched = _schedule(sched, "grid")
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
     base = default_base(s) if base is None else base
@@ -810,8 +808,7 @@ class OscillatingIsoSet:
 
 def mean_iso_oscillating(sched: Schedule | None = None) -> MeanOutcome:
     """Isolated-point mean of the shipped oscillating construction."""
-    if sched is None:
-        sched = delta_schedule()
+    sched = _schedule(sched, "delta")
     osc = OscillatingIsoSet()
 
     def evaluate(delta):

@@ -16,12 +16,7 @@ from fractions import Fraction
 from .core import EMPTY_UNION, Interval, MeanSet, Rat, mean_set, singleton
 from .errors import Unsupported
 from .setexpr import SetExpr, is_countably_infinite
-from .terms import (
-    GeoTerm,
-    PowTerm,
-    tf_abs_below_index,
-    tf_eventual_sign,
-)
+from .terms import GeoTerm, PowTerm, first_index, tf_abs_below_index
 from .topology import (
     AccStructure,
     Ideal,
@@ -55,14 +50,6 @@ ms_ces = ms_a
 # symmetric approximating sequences
 
 
-def _acc_second_from_min(st: AccStructure) -> Rat:
-    return acc_inf_above(st, st.min_value())
-
-
-def _acc_second_from_max(st: AccStructure) -> Rat:
-    return acc_sup_below(st, st.max_value())
-
-
 def ms_as(s: SetExpr) -> MeanSet:
     """Mean-set over symmetric approximating sequences."""
     _require_countable(s)
@@ -73,8 +60,7 @@ def ms_as(s: SetExpr) -> MeanSet:
             return singleton(a.value)
         return EMPTY_UNION
     a1, a4 = st.min_value(), st.max_value()
-    a2 = _acc_second_from_min(st)
-    a3 = _acc_second_from_max(st)
+    a2, a3 = acc_inf_above(st, a1), acc_sup_below(st, a4)
     return MeanSet((Interval((a1 + a2) / 2, (a3 + a4) / 2),))
 
 
@@ -93,44 +79,25 @@ def ms_axs(s: SetExpr) -> MeanSet:
     parts: list[Interval] = []
     mbar, top = st.min_value(), st.max_value()
     walk = _walk_items(st)
-    for idx, item in enumerate(walk):
-        if item[0] == "anchor":
-            x = item[1]
-            if axs_condition_holds_structure(st, x):
-                parts.append(Interval(x, x))
-        else:
-            parts.extend(_family_parts(st, item[1], mbar, top))
+    for idx, (x, hi, fam) in enumerate(walk):
+        if fam is not None:
+            parts.extend(_family_parts(st, fam, mbar, top))
+        elif axs_condition_holds_structure(st, x):
+            parts.append(Interval(x, x))
         if idx + 1 < len(walk):
-            u = _item_hi(item)
-            v = _item_lo(walk[idx + 1])
-            piece = _piece_solution(u, v, mbar, top)
+            piece = _piece_solution(hi, walk[idx + 1][0], mbar, top)
             if piece is not None:
                 parts.append(piece)
     return mean_set(parts)
 
 
 def _walk_items(st: AccStructure):
-    items = [("anchor", a.value) for a in st.anchors]
-    for fam in st.families:
-        items.append(("family", fam))
-    # at a tie the anchor precedes the family anchored at it
-    return sorted(items, key=lambda it: (_item_lo(it), it[0] != "anchor"))
-
-
-def _item_lo(item) -> Rat:
-    if item[0] == "anchor":
-        return item[1]
-    fam = item[1]
-    lo, _ = fam.span()
-    return lo
-
-
-def _item_hi(item) -> Rat:
-    if item[0] == "anchor":
-        return item[1]
-    fam = item[1]
-    _, hi = fam.span()
-    return hi
+    """(lo, hi, family) for each family's span and (x, x, None) for each
+    anchor x, ascending by lo; at a tie the anchor precedes the family
+    anchored at it."""
+    items = [(a.value, a.value, None) for a in st.anchors]
+    items += [(*fam.span(), fam) for fam in st.families]
+    return sorted(items, key=lambda it: (it[0], it[2] is not None))
 
 
 def _piece_solution(u: Rat, v: Rat, mbar: Rat, top: Rat) -> Interval | None:
@@ -197,11 +164,9 @@ def _rate_halving_index(fam) -> int:
     terms = fam.tf.terms
     if len(terms) == 1 and isinstance(terms[0], PowTerm):
         p = terms[0].p
-        n = fam.start
-        while Fraction(n + 1, n) ** p > 2:
-            n += 1
-            if n > 1 << 20:
-                raise Unsupported("halving-rate certificate not found")
+        n = first_index(lambda n: Fraction(n + 1, n) ** p <= 2, fam.start, 1 << 20)
+        if n is None:
+            raise Unsupported("halving-rate certificate not found")
         return n
     if len(terms) == 1 and isinstance(terms[0], GeoTerm):
         if terms[0].r >= Fraction(1, 2):
@@ -233,19 +198,13 @@ def _family_parts(st: AccStructure, fam, mbar: Rat, top: Rat) -> list[Interval]:
     cert = _family_cert_index(fam, mbar, top)
     if cert - fam.start > 50_000:
         raise Unsupported("family certificate walk too long")
-    sign = tf_eventual_sign(fam.tf)
     for n in range(fam.start, cert + 1):
         q_n = fam.value(n)
-        q_next = fam.value(n + 1)
-        u, v = (q_next, q_n) if sign > 0 else (q_n, q_next)
-        piece = _piece_solution(u, v, mbar, top)
+        piece = _piece_solution(*sorted((q_n, fam.value(n + 1))), mbar, top)
         if piece is not None:
             parts.append(piece)
         if axs_condition_holds_structure(st, q_n):
             parts.append(Interval(q_n, q_n))
-    edge = fam.value(cert + 1)
-    if sign > 0:
-        parts.append(Interval(fam.limit, edge, True, False))
-    else:
-        parts.append(Interval(edge, fam.limit, False, True))
+    lo, hi = sorted((fam.limit, fam.value(cert + 1)))
+    parts.append(Interval(lo, hi, lo == fam.limit, hi == fam.limit))
     return parts

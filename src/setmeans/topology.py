@@ -406,19 +406,13 @@ class AccStructure:
     anchors: list[AccPoint]  # sorted by value, distinct values
     families: list[AccFamily]  # disjoint open ranges, limits are anchors
 
+    # a family's limit is an anchor, so of its values only the first, at
+    # its far end, can be an extreme of H'
     def min_value(self) -> Rat:
-        cands = [a.value for a in self.anchors]
-        for fam in self.families:
-            if tf_eventual_sign(fam.tf) < 0:
-                cands.append(fam.value(fam.start))
-        return min(cands)
+        return min([a.value for a in self.anchors] + [f.value(f.start) for f in self.families])
 
     def max_value(self) -> Rat:
-        cands = [a.value for a in self.anchors]
-        for fam in self.families:
-            if tf_eventual_sign(fam.tf) > 0:
-                cands.append(fam.value(fam.start))
-        return max(cands)
+        return max([a.value for a in self.anchors] + [f.value(f.start) for f in self.families])
 
     def count_if_finite(self) -> int:
         return len(self.anchors) if not self.families else -1
@@ -494,11 +488,7 @@ def _separate_families(anchor_flags: dict, families: list[AccFamily]):
         changed = False
         for i, fam in enumerate(families):
             lo, hi = fam.span()
-            conflicts = [
-                v for v in anchor_flags if lo < v <= hi and v != fam.limit
-            ] if tf_eventual_sign(fam.tf) > 0 else [
-                v for v in anchor_flags if lo <= v < hi and v != fam.limit
-            ]
+            conflicts = [v for v in anchor_flags if lo <= v <= hi and v != fam.limit]
             for j, other in enumerate(families):
                 if i == j:
                     continue
@@ -557,27 +547,22 @@ def acc_membership(st: AccStructure, x: Rat) -> tuple[bool, bool, bool]:
 
 def acc_sup_below(st: AccStructure, x: Rat) -> Rat | None:
     """sup of accumulation values strictly below x (None if none)."""
-    best: Rat | None = None
-    for a in st.anchors:
-        if a.value < x:
-            best = a.value if best is None or a.value > best else best
-    for fam in st.families:
-        v = _fam_extreme_below(fam, x)
-        if v is not None:
-            best = v if best is None or v > best else best
-    return best
+    below = [a.value for a in st.anchors if a.value < x]
+    below += [v for fam in st.families if (v := _fam_extreme_below(fam, x)) is not None]
+    return max(below, default=None)
 
 
 def acc_inf_above(st: AccStructure, x: Rat) -> Rat | None:
-    best: Rat | None = None
-    for a in st.anchors:
-        if a.value > x:
-            best = a.value if best is None or a.value < best else best
-    for fam in st.families:
-        v = _fam_extreme_above(fam, x)
-        if v is not None:
-            best = v if best is None or v < best else best
-    return best
+    """inf of accumulation values strictly above x (None if none).  A
+    family's infimum above x is minus the supremum below -x of the family
+    reflected through 0: limit and tail negated, sides swapped."""
+    above = [a.value for a in st.anchors if a.value > x]
+    mirrors = (
+        AccFamily(-f.limit, tf_scale(f.tf, -1), f.start, f.right_sided, f.left_sided)
+        for f in st.families
+    )
+    above += [-v for m in mirrors if (v := _fam_extreme_below(m, -x)) is not None]
+    return min(above, default=None)
 
 
 def _fam_extreme_below(fam: AccFamily, x: Rat) -> Rat | None:
@@ -607,29 +592,6 @@ def _fam_extreme_below(fam: AccFamily, x: Rat) -> Rat | None:
     # the last value below x sits just before the first one at or above it
     n = _tail_index(lambda n: tf_cmp(fam.tf, n, t) >= 0, fam.start) - 1
     return fam.value(n)
-
-
-def _fam_extreme_above(fam: AccFamily, x: Rat) -> Rat | None:
-    """Infimum of family values strictly above x (None if there are none)."""
-    sign = tf_eventual_sign(fam.tf)
-    t = x - fam.limit
-    if sign > 0:
-        top = fam.value(fam.start)
-        if x >= top:
-            return None
-        if t <= 0:
-            return fam.limit  # values accumulate just above the limit
-        n = _tail_index(lambda n: tf_cmp(fam.tf, n, t) <= 0, fam.start)
-        # values decrease with n; the smallest one above t is at index n-1
-        return fam.value(n - 1) if n - 1 >= fam.start else None
-    # negative family: values in [bottom, limit), increasing with n
-    bottom = fam.value(fam.start)
-    if x < bottom:
-        return bottom
-    if x >= fam.limit:
-        return None
-    n = first_index(lambda n: tf_cmp(fam.tf, n, t) > 0, fam.start, _INDEX_CAP)
-    return fam.value(n) if n is not None else None
 
 
 # ---------------------------------------------------------------------------

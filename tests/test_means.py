@@ -268,3 +268,21 @@ def test_engine_divergence_and_convergence():
 
     out = run_schedule(conv, Schedule("delta", 4, 40, 1e-6, 3))
     assert out.status == "converged" and abs(out.value - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Schedule("Delta", 4, 10),
+        lambda: lavg(parse("{1/n}"), grid_schedule()),
+        lambda: mean_iso(parse("{1/n}"), grid_schedule()),
+        lambda: mean_iso_oscillating(grid_schedule()),
+        lambda: mean_eds(parse("{1/n}"), delta_schedule()),
+    ],
+    ids=["unknown-kind", "lavg-grid", "iso-grid", "iso-oscillating-grid", "eds-delta"],
+)
+def test_schedule_of_the_wrong_kind_is_rejected(call):
+    # a delta mean on grid parameters 2^k reads radii 1024, 2048, ...: lavg
+    # of {1/n} would converge to 1/2, not 0
+    with pytest.raises(ValueError, match="schedule"):
+        call()

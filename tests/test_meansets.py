@@ -68,6 +68,11 @@ def test_ms_axs_examples():
     )
     assert ms_axs(H3).parts == (_iv(F(1, 2), F(7, 4)),)
     assert ms_axs(L).parts == (_iv(1, 1),)
+    # the family's limit 1 fails the condition, so its closing block is open there
+    assert ms_axs(parse("{1/n} U {1 - 1/n - 1/k}")).parts == (
+        _iv(0, 0),
+        _iv(F(1, 4), 1, False, True),
+    )
 
 
 def test_axs_parts_nondegenerate_beyond_two_acc_points():
@@ -151,7 +156,10 @@ def test_axs_membership_oracle():
 
 def test_axs_membership_oracle_reference_sets():
     rng = Random(113)
-    for s, expected in ((H4, None), (H3, None), (H1, None)):
+    # the last set's family starts at its anchor 1, and the gap after it
+    # runs from the family's top, 2, to the anchor 5
+    H3_5 = parse("{1/n} U {1 + 1/n + 1/k} U {5 + 1/n}")
+    for s, expected in ((H4, None), (H3, None), (H1, None), (H3_5, None)):
         got = ms_axs(s)
         from setmeans import bounds
 

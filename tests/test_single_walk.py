@@ -6,8 +6,11 @@ The first guard fails when any other function of `src/setmeans` calls
 `tf_resolution_index`: such a function re-derives the split of a tail into
 resolved points and a chained hull, which it should take from `tf_chain`.
 The next three fail when a scale mean reads a tail or walks cantor pieces
-outside `read_at_scale` (the float `lavg` evaluator keeps its own float
-tail cover), or when `neighborhood` or `eds_cells` dispatches on leaf kind.
+outside `read_at_scale`, or when `neighborhood` or `eds_cells` dispatches
+on leaf kind; the float `lavg` sweep reads its leaves through
+`read_at_scale` too.  One more fails when an accumulation family is walked
+anywhere but in `topology._fam_extreme_below`: the infimum above x is the
+supremum below -x of the reflected family, so no mirrored walk is needed.
 
 Two more keep one interval union: `neighborhood` hands its runs and bases
 to `core.iu_union_shifted`, which builds a shifted end only where it
@@ -66,7 +69,16 @@ def test_one_resolution_walk():
 
 
 def test_one_tail_reading():
-    assert _callers("tf_chain") == [("means", "_seq_float_parts"), ("measure", "read_at_scale")]
+    assert _callers("tf_chain") == [("measure", "read_at_scale")]
+    assert _calls(_function("means", "_lavg_eval_float"), "read_at_scale")
+
+
+def test_one_family_walk():
+    assert _callers("_fam_extreme_below") == [
+        ("topology", "acc_inf_above"),
+        ("topology", "acc_sup_below"),
+    ]
+    assert not [fn.name for _, fn in _functions() if fn.name == "_fam_extreme_above"]
 
 
 def test_one_cantor_pieces_walk():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies
 
 from setmeans import (
     Affine,
+    BudgetExceeded,
     Finite,
     Ideal,
     InIdeal,
@@ -34,6 +35,7 @@ from setmeans import (
     ideal_limits,
     delta_schedule,
     isolated_outside,
+    map_affine,
     mean_iso,
     ms_as,
     ms_axs,
@@ -45,7 +47,7 @@ from setmeans import (
 )
 from setmeans import means, topology
 from setmeans.setexpr import leaves
-from setmeans.topology import is_empty_expr, isolated_stats
+from setmeans.topology import acc_inf_above, acc_sup_below, is_empty_expr, isolated_stats
 
 from gen import random_bounded, random_countable, random_finite, random_rat, random_seq2
 
@@ -514,3 +516,57 @@ def test_acc_structure_sidedness():
     st3 = acc_structure(H3)
     assert len(st3.families) == 1 and st3.families[0].limit == 1
     assert {a.value for a in st3.anchors} == {F(0), F(1)}
+
+
+def _acc_brute(st, depth=40):
+    """The anchors and each family's first `depth` values, and for each
+    family the open range (lo, hi) that holds the values left out."""
+    values = {a.value for a in st.anchors}
+    gaps = []
+    for fam in st.families:
+        values.update(fam.value(n) for n in range(fam.start, fam.start + depth))
+        gaps.append((fam, *sorted((fam.limit, fam.value(fam.start + depth - 1)))))
+    return sorted(values), gaps
+
+
+def test_acc_queries_match_a_brute_force_over_family_values():
+    # sup below x and inf above x of H' against the nearest of the listed
+    # values.  A family's left-out values lie in the open range between its
+    # limit and its last listed value, so a query is checked only where they
+    # cannot change its answer; at a family's limit, on the side its values
+    # come from, the answer is the limit itself, which they approach.
+    rng = Random(131)
+    checked = {"below": 0, "above": 0, "at_limit": 0}
+    structures = 0
+    while structures < 60:
+        s = union(random_countable(rng, max_parts=2, allow_seq2=False), random_seq2(rng))
+        for t in (s, map_affine(s, -1, 0)):
+            try:
+                st = acc_structure(t)
+            except (Unsupported, BudgetExceeded):
+                continue
+            structures += 1
+            values, gaps = _acc_brute(st)
+            assert st.min_value() == values[0]
+            assert st.max_value() == values[-1]
+            xs = set(values) | {values[0] - 1, values[-1] + 1}
+            xs.update((a + b) / 2 for a, b in zip(values, values[1:]))
+            for fam, _, _ in gaps:
+                xs.update(fam.limit + e for e in (F(-1, 10**6), F(0), F(1, 10**6)))
+            for x in sorted(xs):
+                if all(x <= lo or x > hi or x == hi == fam.limit for fam, lo, hi in gaps):
+                    below = [v for v in values if v < x]
+                    if any(hi == fam.limit == x for fam, lo, hi in gaps):
+                        below.append(x)
+                        checked["at_limit"] += 1
+                    assert acc_sup_below(st, x) == max(below, default=None), (t, x)
+                    checked["below"] += 1
+                if all(x >= hi or x < lo or x == lo == fam.limit for fam, lo, hi in gaps):
+                    above = [v for v in values if v > x]
+                    if any(lo == fam.limit == x for fam, lo, hi in gaps):
+                        above.append(x)
+                        checked["at_limit"] += 1
+                    assert acc_inf_above(st, x) == min(above, default=None), (t, x)
+                    checked["above"] += 1
+    assert checked["below"] > 2000 and checked["above"] > 2000, checked
+    assert checked["at_limit"] >= structures, checked
