@@ -173,6 +173,8 @@ _REL = 2.0**-50
 _SUB = 2.0**-1060
 _HUGE = 2.0**1020  # keys below this in magnitude sum to a finite float
 
+_CHUNK = 4096  # values computed, shifted, merged or folded at a time
+
 
 def _float_mag(x: Rat) -> tuple[float, float]:
     """float(x) and the magnitude its error scales with; past float range
@@ -196,8 +198,19 @@ def iu_union_shifted(
     order, joins and reach by the bounds, and builds or compares the exact
     Fractions only where two bounds overlap, or where an endpoint ends an
     output part (Shewchuk's filtered predicates).
+
+    Before a base's run is added, pending items past a cap of _CHUNK plus
+    twice the last fold's size are folded: swept into their normal form,
+    whose parts go on as unshifted items that keep the bounds of the items
+    that gave their ends.  The normal form is unique for a point set, and
+    the fold keeps the point set, so the result is the same parts; memory
+    stays O(result + chunk + run) rather than O(bases * run), and each
+    fold sweeps fewer than twice the items added since the last one, so
+    the folds' total work stays linear.  A single unshifted run
+    (`iu_normalize`) never folds.
     """
     items = []
+    cap = _CHUNK
     for bases, run in [((None,), parts), *shifted]:
         keys = []
         reach = 0.0
@@ -207,6 +220,9 @@ def iu_union_shifted(
             keys.append((lo, lo_mag * _REL, hi, hi_mag * _REL, p))
             reach = max(reach, lo_mag, hi_mag)
         for b in bases:
+            if len(items) > cap:
+                items = _sweep(items)
+                cap = _CHUNK + 2 * len(items)
             bf, b_mag = (0.0, 0.0) if b is None else _float_mag(b)
             if reach + b_mag >= _HUGE:
                 items.extend((-math.inf, math.inf, -math.inf, math.inf, k[4], b) for k in keys)
@@ -219,7 +235,7 @@ def iu_union_shifted(
                     for lo, e_lo, hi, e_hi, p in keys
                 ]
             )
-    return _sweep(items)
+    return IntervalUnion(tuple(item[4] for item in _sweep(items)))
 
 
 def _lo(item) -> Rat:
@@ -232,9 +248,11 @@ def _hi(item) -> Rat:
     return p.hi if b is None else p.hi + b
 
 
-def _sweep(items: list) -> IntervalUnion:
+def _sweep(items: list) -> list:
     """Merge (lo_low, lo_high, hi_low, hi_high, part, base) items, whose
-    exact ends lie within their bounds, into the normal form.
+    exact ends lie within their bounds, into the parts of the normal form,
+    ascending, as unshifted items that keep the bounds of the items that
+    gave their ends.
 
     The items go in order of lo_low.  An item whose lo lies surely below
     the current run's hi joins it, in any order.  Any other item may start
@@ -245,7 +263,7 @@ def _sweep(items: list) -> IntervalUnion:
     settled exactly only when a join test or the output needs it.
     """
     items.sort(key=itemgetter(0))
-    out: list[Interval] = []
+    out: list = []
     start = None
     cands: list = []
     top_low = top_high = 0.0
@@ -285,11 +303,11 @@ def _sweep(items: list) -> IntervalUnion:
 
     def emit():
         hi, hi_open, best = settle()
-        p = start[4]
         if best is start and start[5] is None:
-            out.append(p)
+            out.append(start)
         else:
-            out.append(Interval(_lo(start), hi, p.lo_open, hi_open))
+            p = Interval(_lo(start), hi, start[4].lo_open, hi_open)
+            out.append((start[0], start[1], best[2], best[3], p, None))
 
     n = len(items)
     i = 0
@@ -324,7 +342,7 @@ def _sweep(items: list) -> IntervalUnion:
             top_low, top_high = y[2], y[3]
     if start is not None:
         emit()
-    return IntervalUnion(tuple(out))
+    return out
 
 
 mean_set = iu_normalize

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import add, ne, sub
 
-from .core import Interval, Rat, _merge_ranges, arithmetic_mean, avg_iu, rat
+from .core import _CHUNK, Interval, Rat, _merge_ranges, arithmetic_mean, avg_iu, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -30,6 +30,7 @@ from .errors import (
     UndefinedMean,
 )
 from .measure import (
+    _charge,
     _positive_intervals,
     cantor_neighborhood_stats,
     neighborhood,
@@ -329,9 +330,6 @@ def mean_iso(s: SetExpr, sched: Schedule | None = None, budget: int = 10_000_000
 # ascending runs in chunks, for the float lavg sweep and the eds cover
 
 
-_CHUNK = 4096  # values computed, shifted and merged at a time
-
-
 def _slices(values):
     """The list or range `values` in consecutive slices of _CHUNK."""
     return (values[i : i + _CHUNK] for i in range(0, len(values), _CHUNK))
@@ -411,7 +409,10 @@ def _lavg_eval_float(ls, delta) -> float:
     the centre c of its ball of radius d; a hull, a finite point among them,
     keeps the ends float(lo) - d and float(hi) + d, and a run's chained tail
     the ends of its float cover (the exact run hull rounds differently).
-    Double sequences and cantor leaves give their exact neighbourhood parts.
+    Double sequences and cantor leaves give the float ends of their exact
+    neighbourhood parts: a double sequence's shifted runs are folded into
+    their normal form as `iu_union_shifted` adds them, so this fallback
+    holds O(parts + chunk) parts, not one per base and run point.
     Every single-power tail limit + c/n^p streams its centres lf + c/n**p
     as they are needed: rounding is monotone, in the conversion of n**p to
     a float past 2^53 too, so they come out sorted when n runs down for
@@ -511,7 +512,8 @@ class CellCover:
     """Occupied cells of a uniform left-closed grid over [a, b): merged
     inclusive spans of cells, plus the single cells of resolved points
     outside every span.  The single cells are not stored: each of `runs`
-    gives one ascending run of point cells in chunks, and each pass merges
+    gives one ascending run of point cells in chunks (the first, the
+    distinct point cells `eds_cells` stored, sorted), and each pass merges
     the runs and drops repeated cells and the cells a span holds.  Two
     covers are equal when their n, base, spans and single cells are."""
 
@@ -647,13 +649,12 @@ def _power_cells(base: Rat, pw, idx: range, a: Rat, b: Rat, n: int):
 
 
 def _cover(
-    n: int, base: tuple[Rat, Rat], cells: list[int], runs: list, spans: list[tuple[int, int]]
+    n: int, base: tuple[Rat, Rat], cells: set[int], runs: list, spans: list[tuple[int, int]]
 ) -> CellCover:
-    """The cover of the point cells, the streamed runs of point cells and the
-    hull spans: the spans merged, and the point cells sorted into one more
-    run."""
-    cells.sort()
-    return CellCover(n, base, _merge_ranges(spans), (partial(_slices, cells), *runs))
+    """The cover of the distinct stored point cells, the streamed runs of
+    point cells and the hull spans: the spans merged, and the stored cells
+    sorted into one more run."""
+    return CellCover(n, base, _merge_ranges(spans), (partial(_slices, sorted(cells)), *runs))
 
 
 def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000) -> CellCover:
@@ -664,10 +665,12 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     occupy the span of cells they meet.  A run of a single-power tail gets
     its cells from `_power_cells` and is stored when it fits in one chunk; a
     longer one is not, and the cover computes its cells again in ascending
-    chunks on each pass.  Any other run is read point by point.  A leaf
-    costs len(bases) * (len(idx) + 1) + len(hulls) cells and spans, stored
-    or not, and BudgetExceeded is raised when the leaves together cost more
-    than `budget`.
+    chunks on each pass.  Any other run is read point by point.  Stored
+    cells go into one set, so a double sequence's bases x run points keep
+    each cell they share once.  Each reading is charged as `neighborhood`
+    charges it, len(bases) * (len(idx) + 1) + len(hulls) cells and spans,
+    stored, repeated or streamed, and BudgetExceeded is raised when the
+    leaves together cost more than `budget`.
     """
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
@@ -677,22 +680,21 @@ def eds_cells(s: SetExpr, n: int, base: tuple[Rat, Rat], budget: int = 2_000_000
     lo, hi, lo_att, hi_att = bounds(s)
     if lo < a or hi > b or (hi == b and hi_att):
         raise OutOfBase("point set must lie inside [a, b)")
-    cells: list[int] = []
+    cells: set[int] = set()
     runs: list = []  # the cell chunks of each streamed run, on demand
-    streamed = 0
     spans: list[tuple[int, int]] = []
+    spent = 0
     for leaf in leaves(s):
-        spent = len(cells) + streamed + len(spans)
         bases, tf, idx, run_hull, hulls = read_at_scale(leaf, (b - a) / n, budget - spent)
+        spent += _charge(len(bases), len(idx), len(hulls), budget - spent)
         pw = tf_single_pow(tf) if bases else None
         for x in bases:
             if pw is None:
-                cells.extend([_cell_of_seq_point(tf, i, x, a, b, n) for i in idx])
+                cells.update([_cell_of_seq_point(tf, i, x, a, b, n) for i in idx])
             elif len(idx) > _CHUNK:
                 runs.append(partial(_power_cells, x, pw, idx, a, b, n))
-                streamed += len(idx)
             else:
-                cells.extend(chain.from_iterable(_power_cells(x, pw, idx, a, b, n)))
+                cells.update(chain.from_iterable(_power_cells(x, pw, idx, a, b, n)))
             spans.append(_iv_cells(run_hull.shift(x), a, b, n))
         spans.extend(_iv_cells(h, a, b, n) for h in hulls)
     return _cover(n, (a, b), cells, runs, spans)

@@ -118,10 +118,11 @@ def neighborhood(s: SetExpr, delta: Rat, budget: int = _DEFAULT_PART_BUDGET) -> 
     Each leaf is read at scale 2*delta (`read_at_scale`): the balls of a
     run's points and its widened hull are merged once, and the union takes
     them shifted to each base (`iu_union_shifted` builds a shifted end only
-    where it decides something); every other hull is widened by delta.  A
-    leaf costs len(bases) * (len(idx) + 1) + len(hulls) parts, and
-    BudgetExceeded is raised when the leaves together cost more than
-    `budget`.
+    where it decides something, and folds its pending parts into their
+    normal form as it goes, so memory is O(result + chunk + run),
+    not O(bases * run)); every other hull is widened by delta.  A leaf costs
+    len(bases) * (len(idx) + 1) + len(hulls) parts, and BudgetExceeded is
+    raised when the leaves together cost more than `budget`.
     """
     delta = rat(delta)
     if delta <= 0:

@@ -45,7 +45,7 @@ from setmeans import (
     seq,
     term_fun,
 )
-from setmeans import means
+from setmeans import core, means
 from setmeans.means import _cell_of_seq_point, _iv_cells, _lavg_eval_float
 from setmeans.measure import read_at_scale
 from setmeans.setexpr import Finite, IntervalSet, Seq, bounds, leaves
@@ -68,6 +68,8 @@ from gen import (
 
 L_TEXT = "{1/n} U {2 + 1/2^n}"
 L = parse(L_TEXT)
+H3_TEXT = "{1/n} U {1 + 1/n + 1/k}"
+H3 = parse(H3_TEXT)
 
 
 def _ball(x, delta):
@@ -676,10 +678,10 @@ def test_lavg_float_sweep_merges_streamed_tails(case):
 
 
 def _cover_by_dict(cells, runs, spans):
-    """The cover of the cells and the streamed runs, every cell materialized
-    and its repeats dropped by a dict; the spans, ranges and index counts
-    come from the set of every occupied cell."""
-    cells = dict.fromkeys(cells + [j for run in runs for chunk in run() for j in chunk])
+    """The cover of the stored cells and the streamed runs, every cell
+    materialized and its repeats dropped by a dict; the spans, ranges and
+    index counts come from the set of every occupied cell."""
+    cells = dict.fromkeys([*cells, *(j for run in runs for chunk in run() for j in chunk)])
     in_spans = {j for lo, hi in spans for j in range(lo, hi + 1)}
     occupied = sorted(in_spans.union(cells))
 
@@ -703,6 +705,7 @@ def _cover_by_dict(cells, runs, spans):
         ("{1/n} U {1/n^2} U {2/n}", range(4, 17, 3)),  # runs share cells
         ("{1/n} U [1/3, 1/2]", range(4, 17, 3)),  # point cells inside a span
         ("{1/n} U {-1/n}", range(4, 17, 3)),  # runs falling and rising around a span
+        (H3_TEXT, range(8, 15, 2)),  # a double sequence's bases share cells
     ],
 )
 def test_eds_cover_matches_a_dict_dedup(monkeypatch, text, exps):
@@ -740,6 +743,20 @@ def test_eds_budget_counts_streamed_runs(monkeypatch, text, k):
         bases, _, idx, _, hulls = read_at_scale(leaf, (b - a) / n, 10**9)
         cost += len(bases) * (len(idx) + 1) + len(hulls)
     assert len(eds_cells(s, n, base, cost).runs) > 1  # the stored cells and streamed runs
+    with pytest.raises(BudgetExceeded):
+        eds_cells(s, n, base, cost - 1)
+
+
+def test_eds_budget_counts_repeated_cells():
+    # the double sequence's 35 bases of 35 stored points share cells (282
+    # distinct at 2^12); read before the other leaf, it is charged all 1225
+    s, n = parse("{1 + 1/n + 1/k} U {1/n}"), 2**12
+    a, b = base = default_base(s)
+    cost = 0
+    for leaf in leaves(s):
+        bases, _, idx, _, hulls = read_at_scale(leaf, (b - a) / n, 10**9)
+        cost += len(bases) * (len(idx) + 1) + len(hulls)
+    eds_cells(s, n, base, cost)
     with pytest.raises(BudgetExceeded):
         eds_cells(s, n, base, cost - 1)
 
@@ -786,3 +803,19 @@ def test_limit_means_peak_in_chunk_bounded_memory():
 
     for coarse, fine in zip(peaks(30), peaks(38)):
         assert fine < 2 * 2**20 and fine <= 1.25 * coarse, (coarse, fine)
+    # H3 reads as hundreds of bases times hundreds of run points: the
+    # shifted union folds its runs into their normal form as it adds them,
+    # and the eds cover stores each distinct cell once
+    lavg = _peak_bytes(lambda: _lavg_eval_float(leaves(H3), F(1, 2**16)))
+    eds = _peak_bytes(lambda: eds_cells(H3, 2**20, default_base(H3)).left_endpoint_mean())
+    assert lavg < 5 * 2**20 and eds < 5 * 2**20, (lavg, eds)
+
+
+def test_lavg_float_sweep_of_a_double_sequence_keeps_its_bits_when_folded():
+    # the exact fallback's shifted union folds after every run or two at a
+    # chunk of 3, and at the default chunk only from 2^-13 on
+    ls = leaves(H3)
+    want = [_lavg_eval_float(ls, F(1, 2**k)).hex() for k in range(8, 15)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_CHUNK", 3)
+        assert [_lavg_eval_float(ls, F(1, 2**k)).hex() for k in range(8, 15)] == want

@@ -16,7 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setmeans import Interval, Union, iu_normalize, neighborhood
+from setmeans import Interval, Union, core, iu_normalize, neighborhood
 from setmeans.core import iu_union_shifted
 from setmeans.measure import _charge, read_at_scale
 from setmeans.setexpr import leaves
@@ -126,9 +126,15 @@ def _shifted(draw):
 @settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(_shifted())
 def test_shifted_union_matches_exact_sweep(case):
+    # at a chunk of 3 the pending items are folded into their normal form
+    # before most bases are added, at the default chunk never
     parts, groups = case
     flat = list(parts) + [p.shift(b) for bases, run in groups for b in bases for p in run]
-    assert iu_union_shifted(parts, groups).parts == _exact_normalize(flat)
+    want = _exact_normalize(flat)
+    for chunk in (3, core._CHUNK):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_CHUNK", chunk)
+            assert iu_union_shifted(parts, groups).parts == want, chunk
 
 
 @pytest.mark.parametrize("f", [1 / 3, 0.1, -2.75, 3.0, 1e-300])
@@ -155,6 +161,21 @@ def test_ends_past_float_range_tie_exactly():
     groups = [([_HUGE, F(1, 2)], run)]
     flat = [p.shift(b) for bases, run in groups for b in bases for p in run] + raw
     assert iu_union_shifted(raw, groups).parts == _exact_normalize(flat)
+
+
+def test_folds_keep_ends_past_float_range(monkeypatch):
+    # a folded part past float range keeps its unbounded keys, so the
+    # shifted parts added after it are ordered against it exactly
+    sweeps = []
+    sweep = core._sweep
+    monkeypatch.setattr(core, "_sweep", lambda items: sweeps.append(len(items)) or sweep(items))
+    monkeypatch.setattr(core, "_CHUNK", 1)
+    raw = [Interval(_HUGE, _HUGE + 1, True, False), Interval(F(0), F(1, 3), False, True)]
+    run = [Interval(F(-1, 3), F(0), True, False), Interval(F(1, 2), F(1), False, True)]
+    bases = [F(1, 3), _HUGE + F(2, 3), F(-1, 2), _HUGE + F(1, 3), F(2, 3), -_HUGE]
+    flat = raw + [p.shift(b) for b in bases for p in run]
+    assert iu_union_shifted(raw, [(bases, run)]).parts == _exact_normalize(flat)
+    assert len(sweeps) > 2  # folds happened between the bases
 
 
 def _widen(iv, delta):
