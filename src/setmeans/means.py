@@ -37,14 +37,13 @@ from .measure import (
     read_at_scale,
 )
 from .setexpr import (
-    Finite,
-    IntervalSet,
+    Cantor,
     Seq2,
     SetExpr,
     bounds,
-    cantor_map,
     has_uncountable_leaf,
     is_infinite,
+    leaf_points,
     leaves,
 )
 from .terms import (
@@ -226,12 +225,9 @@ def _divergent(trace, floats, sched) -> MeanOutcome:
 def _finite_points(s: SetExpr) -> list[Rat]:
     pts: set[Rat] = set()
     for leaf in leaves(s):
-        if isinstance(leaf, Finite):
-            pts.update(leaf.points)
-        elif isinstance(leaf, IntervalSet) and leaf.iv.is_point():
-            pts.add(leaf.iv.lo)
-        else:
+        if (finite := leaf_points(leaf)) is None:
             raise SemanticError("set is not finite")
+        pts.update(finite)
     return sorted(pts)
 
 
@@ -441,7 +437,7 @@ def _lavg_eval_float(ls, delta) -> float:
     his: list[float] = []
     d = float(delta)
     for leaf in ls:
-        if isinstance(leaf, Seq2) or cantor_map(leaf) is not None:
+        if isinstance(leaf, (Seq2, Cantor)):
             # double sequences and cantor leaves fall back to exact parts
             parts = neighborhood(leaf, delta, budget=200_000).parts
             los.extend([float(p.lo) for p in parts])
@@ -486,11 +482,11 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
     ls = leaves(s)
-    cmap = cantor_map(ls[0]) if len(ls) == 1 else None
+    cantor = ls[0] if len(ls) == 1 and isinstance(ls[0], Cantor) else None
 
     def evaluate(delta):
-        if cmap is not None:
-            measure, moment = cantor_neighborhood_stats(*cmap, delta)
+        if cantor is not None:
+            measure, moment = cantor_neighborhood_stats(cantor.alpha, cantor.beta, delta)
             val = moment / measure
             return float(val), val
         try:

@@ -19,13 +19,13 @@ from .core import (
 )
 from .errors import BudgetExceeded, Unsupported, UndefinedMean, ZeroMeasure
 from .setexpr import (
-    Dense,
+    Cantor,
     Finite,
     IntervalSet,
     Seq,
     Seq2,
     SetExpr,
-    cantor_map,
+    leaf_points,
     leaves,
 )
 from .terms import tf_chain, tf_value
@@ -60,7 +60,8 @@ def _cantor_pieces(alpha: Rat, beta: Rat, level: int):
 
 
 def read_at_scale(leaf: SetExpr, eps: Rat, budget: int):
-    """The leaf read at scale eps: (bases, tf, idx, run_hull, hulls).
+    """A leaf of `leaves(s)`, one of the six leaf kinds, read at scale eps:
+    (bases, tf, idx, run_hull, hulls).
 
     Each base b carries one run: the points b + tf(n) for n in idx, which
     stand apart, and b + run_hull, into which the later points chain.  The
@@ -68,16 +69,15 @@ def read_at_scale(leaf: SetExpr, eps: Rat, budget: int):
     narrower than eps: an interval or dense filler, a finite point, each
     resolved inner offset of a double sequence smeared across the chained
     outer tail and the sum of both chained tails, or a construction piece of
-    a cantor set at the deepest level at least eps wide.
+    a Cantor leaf alpha * C + beta at the deepest level at least eps wide.
 
     The reading costs len(bases) * (len(idx) + 1) + len(hulls) parts, and
     raises BudgetExceeded before it builds them when that exceeds budget.
     """
-    cmap = cantor_map(leaf)
-    if cmap is not None:
-        level = _cantor_depth(cmap[0], eps)
+    if isinstance(leaf, Cantor):
+        level = _cantor_depth(leaf.alpha, eps)
         _charge(0, 0, 2**level, budget)
-        return (), None, range(0), None, _cantor_pieces(*cmap, level)
+        return (), None, range(0), None, _cantor_pieces(leaf.alpha, leaf.beta, level)
     if isinstance(leaf, Seq):
         idx, hull = tf_chain(leaf.tail, eps)
         _charge(1, len(idx), 0, budget)
@@ -96,10 +96,8 @@ def read_at_scale(leaf: SetExpr, eps: Rat, budget: int):
         hulls = [Interval(p, p) for p in leaf.points]
     elif isinstance(leaf, IntervalSet):
         hulls = [leaf.iv]
-    elif isinstance(leaf, Dense):
+    else:  # a dense filler
         hulls = [Interval(leaf.lo, leaf.hi, True, True)]
-    else:
-        raise TypeError(f"unknown leaf {leaf!r}")
     _charge(0, 0, len(hulls), budget)
     return (), None, range(0), None, hulls
 
@@ -166,7 +164,7 @@ def _positive_intervals(ls) -> list[Interval]:
     return [
         Interval(l.iv.lo, l.iv.hi)
         for l in ls
-        if isinstance(l, IntervalSet) and not l.iv.is_point()
+        if isinstance(l, IntervalSet) and leaf_points(l) is None
     ]
 
 
@@ -180,7 +178,7 @@ def avg_set(s: SetExpr) -> Rat:
     interval_parts = _positive_intervals(ls)
     if interval_parts:
         return avg_iu(iu_normalize(interval_parts))
-    cantor_maps = {cantor_map(l) for l in ls} - {None}
+    cantor_maps = {(l.alpha, l.beta) for l in ls if isinstance(l, Cantor)}
     if cantor_maps:
         if len(cantor_maps) > 1:
             raise Unsupported(
@@ -190,14 +188,11 @@ def avg_set(s: SetExpr) -> Rat:
         return alpha / 2 + beta
     points = set()
     for l in ls:
-        if isinstance(l, Finite):
-            points.update(l.points)
-        elif isinstance(l, IntervalSet) and l.iv.is_point():
-            points.add(l.iv.lo)
-        else:
+        if (finite := leaf_points(l)) is None:
             raise UndefinedMean(
                 "no natural measure for a countably infinite null set"
             )
+        points.update(finite)
     if not points:
         raise UndefinedMean("empty set has no average")
     return arithmetic_mean(sorted(points))

@@ -358,8 +358,8 @@ class _Parser:
 def parse(text: str) -> SetExpr:
     """Parse an expression string into a validated, canonical SetExpr.
 
-    Affine maps are pushed into the leaves as they are read (only the cantor
-    set keeps its map, matching the grammar), so parse and render are
+    Affine maps are pushed into the leaves as they are read (a Cantor leaf
+    carries its map, as the grammar writes it), so parse and render are
     mutually inverse on the canonical class.
     """
     return _Parser(text).parse_set()

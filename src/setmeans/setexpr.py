@@ -2,10 +2,10 @@
 
 The representable class is fixed: finite sets, one- and two-parameter
 decaying sequences, intervals, a countable dense filler (realized as the
-dyadic rationals of an open interval), the middle-thirds Cantor set, affine
-images, and finite unions.  This class contains the worked examples the
-library needs to reproduce and is closed under union, affine maps, and the
-derived-set operation.
+dyadic rationals of an open interval), affine images of the middle-thirds
+Cantor set, and affine images and finite unions of these.  This class
+contains the worked examples the library needs to reproduce and is closed
+under union, affine maps, and the derived-set operation.
 """
 
 from __future__ import annotations
@@ -93,25 +93,37 @@ class Dense(SetExpr):
             raise SemanticError("dense filler needs a nondegenerate interval")
 
 
+def _invertible_map(node) -> None:
+    """Store a node's map as exact rationals; refuse alpha == 0."""
+    if node.alpha == 0:
+        raise SemanticError("affine map must be invertible (alpha != 0)")
+    object.__setattr__(node, "alpha", rat(node.alpha))
+    object.__setattr__(node, "beta", rat(node.beta))
+
+
 @dataclass(frozen=True)
 class Cantor(SetExpr):
-    """The standard middle-thirds Cantor set in [0, 1]."""
+    """The image alpha * C + beta of the middle-thirds Cantor set C in
+    [0, 1]; Cantor() is C itself."""
+
+    alpha: Rat = Fraction(1)
+    beta: Rat = Fraction(0)
+
+    def __post_init__(self):
+        _invertible_map(self)
 
 
 @dataclass(frozen=True)
 class Affine(SetExpr):
-    """The image {alpha * x + beta : x in inner}."""
+    """The image {alpha * x + beta : x in inner}: an input node, which
+    map_affine pushes into the leaves of the canonical tree."""
 
     alpha: Rat
     beta: Rat
     inner: SetExpr
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise SemanticError("affine map must be invertible (alpha != 0)")
-        # a canonical tree may keep this node as a leaf: store exact rationals
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "beta", rat(self.beta))
+        _invertible_map(self)
 
 
 @dataclass(frozen=True)
@@ -205,11 +217,13 @@ def normalize_affine(s: SetExpr) -> SetExpr:
 def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
     """The canonical tree of {a * x + b : x in s}.
 
-    Affine maps are pushed into the leaves and unions are flattened; only a
-    Cantor leaf keeps its map, as Affine(alpha, beta, Cantor()).  A mapped
-    dense filler is re-anchored to the dyadics of its image interval (same
-    closure and measure, different points).  Under the identity map a leaf
-    comes back as the same object, and so does a union whose parts all do.
+    Affine maps are pushed into the leaves and unions are flattened, so
+    every leaf is a Finite, Seq, Seq2, IntervalSet, Dense or Cantor, and a
+    Cantor leaf carries its map.  A mapped dense filler is re-anchored to
+    the dyadics of its image interval (same closure and measure, different
+    points).  Any other node raises TypeError, here and so in every reader
+    of leaves().  Under the identity map a leaf comes back as the same
+    object, and so does a union whose parts all do.
     """
     if a == 0:
         raise SemanticError("affine map must be invertible (alpha != 0)")
@@ -221,8 +235,9 @@ def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
             return s
         return union(*parts)
     if isinstance(s, Affine):
-        t = map_affine(s.inner, a * s.alpha, a * s.beta + b)
-        return s if t == s else t  # an already canonical Cantor leaf
+        return map_affine(s.inner, a * s.alpha, a * s.beta + b)
+    if not isinstance(s, (Finite, Seq, Seq2, IntervalSet, Dense, Cantor)):
+        raise TypeError(f"unknown node {s!r}")
     if a == 1 and b == 0:
         return s
     if isinstance(s, Finite):
@@ -239,27 +254,23 @@ def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
         if lo > hi:
             lo, hi = hi, lo
         return Dense(lo, hi)
-    if isinstance(s, Cantor):
-        return Affine(a, b, s)
-    raise TypeError(f"unknown node {s!r}")
+    return Cantor(a * s.alpha, a * s.beta + b)
 
 
 def leaves(s: SetExpr) -> tuple[SetExpr, ...]:
-    """The flat leaf tuple of normalize_affine(s).
-
-    No leaf is a Union, and the only Affine leaf is a mapped Cantor set,
-    Affine(alpha, beta, Cantor()), which stays one leaf.
-    """
+    """The flat leaf tuple of normalize_affine(s): each leaf is a Finite,
+    Seq, Seq2, IntervalSet, Dense or Cantor, never a Union or an Affine."""
     s = normalize_affine(s)
     return s.parts if isinstance(s, Union) else (s,)
 
 
-def cantor_map(leaf: SetExpr) -> tuple[Rat, Rat] | None:
-    """(alpha, beta) when the leaf is alpha * C + beta, else None."""
-    if isinstance(leaf, Cantor):
-        return Fraction(1), Fraction(0)
-    if isinstance(leaf, Affine) and isinstance(leaf.inner, Cantor):
-        return leaf.alpha, leaf.beta
+def leaf_points(leaf: SetExpr) -> tuple[Rat, ...] | None:
+    """The points of a finite leaf, a Finite or a one-point interval, or
+    None for an infinite leaf."""
+    if isinstance(leaf, Finite):
+        return leaf.points
+    if isinstance(leaf, IntervalSet) and leaf.iv.is_point():
+        return (leaf.iv.lo,)
     return None
 
 
@@ -301,11 +312,9 @@ def bounds(s: SetExpr) -> tuple[Rat, Rat, bool, bool]:
             parts.append((iv.lo, iv.hi, not iv.lo_open, not iv.hi_open))
         elif isinstance(leaf, Dense):
             parts.append((leaf.lo, leaf.hi, False, False))
-        elif (cm := cantor_map(leaf)) is not None:
-            ends = (cm[1], cm[0] + cm[1])
+        else:  # a Cantor leaf
+            ends = (leaf.beta, leaf.alpha + leaf.beta)
             parts.append((min(ends), max(ends), True, True))
-        else:
-            raise TypeError(f"unknown node {leaf!r}")
     lo = min(p[0] for p in parts)
     hi = max(p[1] for p in parts)
     lo_a = any(p[2] for p in parts if p[0] == lo)
@@ -319,18 +328,13 @@ def bounds(s: SetExpr) -> tuple[Rat, Rat, bool, bool]:
 
 def has_uncountable_leaf(s: SetExpr) -> bool:
     return any(
-        (isinstance(leaf, IntervalSet) and not leaf.iv.is_point())
-        or cantor_map(leaf) is not None
+        isinstance(leaf, (IntervalSet, Cantor)) and leaf_points(leaf) is None
         for leaf in leaves(s)
     )
 
 
 def is_infinite(s: SetExpr) -> bool:
-    return any(
-        not isinstance(leaf, Finite)
-        and not (isinstance(leaf, IntervalSet) and leaf.iv.is_point())
-        for leaf in leaves(s)
-    )
+    return any(leaf_points(leaf) is None for leaf in leaves(s))
 
 
 def is_countably_infinite(s: SetExpr) -> bool:
@@ -391,10 +395,8 @@ def contains_point(s: SetExpr, x: Rat) -> bool:
             hit = leaf.iv.contains(x)
         elif isinstance(leaf, Dense):
             hit = _dyadic_in(leaf.lo, leaf.hi, x)
-        elif (cm := cantor_map(leaf)) is not None:
-            hit = _cantor_contains((x - cm[1]) / cm[0])
-        else:
-            raise TypeError(f"unknown node {leaf!r}")
+        else:  # a Cantor leaf
+            hit = _cantor_contains((x - leaf.beta) / leaf.alpha)
         if hit:
             return True
     return False
@@ -486,20 +488,16 @@ def point_generator(s: SetExpr):
     """
     gens = []
     for leaf in leaves(s):
-        if isinstance(leaf, Finite):
-            gens.append(iter(leaf.points))
+        if (points := leaf_points(leaf)) is not None:
+            gens.append(iter(points))
         elif isinstance(leaf, Seq):
             gens.append(_gen_seq(leaf))
         elif isinstance(leaf, Seq2):
             gens.append(_gen_seq2(leaf))
         elif isinstance(leaf, Dense):
             gens.append(_gen_dense(leaf))
-        elif isinstance(leaf, IntervalSet) and leaf.iv.is_point():
-            gens.append(iter((leaf.iv.lo,)))
-        elif isinstance(leaf, IntervalSet) or cantor_map(leaf) is not None:
-            raise Uncountable("cannot enumerate a set with an uncountable leaf")
         else:
-            raise TypeError(f"unknown node {leaf!r}")
+            raise Uncountable("cannot enumerate a set with an uncountable leaf")
     return gens[0] if len(gens) == 1 else _gen_union(gens)
 
 
@@ -596,14 +594,12 @@ def render(s: SetExpr) -> str:
             text = f"{lb}{_fmt_rat(iv.lo)}, {_fmt_rat(iv.hi)}{rb}"
         elif isinstance(leaf, Dense):
             text = f"Q({_fmt_rat(leaf.lo)}, {_fmt_rat(leaf.hi)})"
-        elif (cm := cantor_map(leaf)) is not None:
-            alpha, beta = cm
+        else:  # a Cantor leaf
+            alpha, beta = leaf.alpha, leaf.beta
             text = "C" if alpha == 1 and beta == 0 else f"{_fmt_rat(alpha)}*C"
             if beta > 0:
                 text += f" + {_fmt_rat(beta)}"
             elif beta < 0:
                 text += f" - {_fmt_rat(-beta)}"
-        else:
-            raise TypeError(f"unknown node {leaf!r}")
         terms.append(text)
     return " U ".join(terms)

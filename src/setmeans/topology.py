@@ -23,7 +23,6 @@ from .errors import (
 )
 from .measure import _positive_intervals, neighborhood
 from .setexpr import (
-    Affine,
     Cantor,
     Dense,
     Finite,
@@ -33,10 +32,10 @@ from .setexpr import (
     SetExpr,
     _seq_value_index,
     bounds,
-    cantor_map,
     contains_point,
     has_uncountable_leaf,
     is_infinite,
+    leaf_points,
     leaves,
     map_affine,
     normalize_affine,
@@ -79,7 +78,7 @@ def _tail_index(pred, lo: int) -> int:
 
 
 def is_empty_expr(s: SetExpr) -> bool:
-    return all(isinstance(leaf, Finite) and not leaf.points for leaf in leaves(s))
+    return all(leaf_points(leaf) == () for leaf in leaves(s))
 
 
 def _drop_empty(parts) -> SetExpr:
@@ -100,7 +99,7 @@ def derived_set(s: SetExpr) -> SetExpr:
     """
     parts: list[SetExpr] = []
     for leaf in leaves(s):
-        if isinstance(leaf, Finite):
+        if leaf_points(leaf) is not None:
             continue
         if isinstance(leaf, Seq):
             parts.append(Finite((leaf.limit,)))
@@ -110,14 +109,11 @@ def derived_set(s: SetExpr) -> SetExpr:
                 parts.append(Seq(leaf.limit, leaf.inner))
             parts.append(Finite((leaf.limit,)))
         elif isinstance(leaf, IntervalSet):
-            if not leaf.iv.is_point():
-                parts.append(IntervalSet(Interval(leaf.iv.lo, leaf.iv.hi)))
+            parts.append(IntervalSet(Interval(leaf.iv.lo, leaf.iv.hi)))
         elif isinstance(leaf, Dense):
             parts.append(IntervalSet(Interval(leaf.lo, leaf.hi)))
-        elif cantor_map(leaf) is not None:
+        else:  # a Cantor leaf is perfect
             parts.append(leaf)
-        else:
-            raise TypeError(f"unknown node {leaf!r}")
     return union(*parts) if parts else EMPTY
 
 
@@ -137,10 +133,8 @@ def closure(s: SetExpr) -> SetExpr:
             parts.append(IntervalSet(Interval(leaf.iv.lo, leaf.iv.hi)))
         elif isinstance(leaf, Dense):
             parts.append(IntervalSet(Interval(leaf.lo, leaf.hi)))
-        elif isinstance(leaf, Finite) or cantor_map(leaf) is not None:
+        else:  # a Finite or Cantor leaf is closed
             parts.append(leaf)
-        else:
-            raise TypeError(f"unknown node {leaf!r}")
     return union(*parts)
 
 
@@ -182,12 +176,11 @@ _IDEAL_ORDER = {
 
 
 def _uncountable_leaf_bounds(ls) -> list[tuple[Rat, Rat]]:
-    out = [(iv.lo, iv.hi) for iv in _positive_intervals(ls)]
-    for leaf in ls:
-        if cantor_map(leaf) is not None:
-            lo, hi, _, _ = bounds(leaf)
-            out.append((lo, hi))
-    return out
+    return [
+        bounds(leaf)[:2]
+        for leaf in ls
+        if isinstance(leaf, (IntervalSet, Cantor)) and leaf_points(leaf) is None
+    ]
 
 
 def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
@@ -263,12 +256,11 @@ def _split(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
             b, a = _split(map_affine(s, -1, 0), -y)
             return map_affine(a, -1, 0), map_affine(b, -1, 0)
         return _split_seq2(s, y)
-    if (cm := cantor_map(s)) is not None:
-        alpha, beta = cm
-        b, a = _split_cantor((y - beta) / alpha)
-        b, a = map_affine(b, alpha, beta), map_affine(a, alpha, beta)
-        return (b, a) if alpha > 0 else (a, b)
-    raise TypeError(f"unknown node {s!r}")
+    # a Cantor leaf alpha * C + beta
+    alpha, beta = s.alpha, s.beta
+    b, a = _split_cantor((y - beta) / alpha)
+    b, a = map_affine(b, alpha, beta), map_affine(a, alpha, beta)
+    return (b, a) if alpha > 0 else (a, b)
 
 
 def _split_cantor(y: Rat, depth: int = 0) -> tuple[SetExpr, SetExpr]:
@@ -282,18 +274,17 @@ def _split_cantor(y: Rat, depth: int = 0) -> tuple[SetExpr, SetExpr]:
     if depth > 256:
         raise Unsupported("cut point requires infinitely many cantor pieces")
     third = Fraction(1, 3)
-    if Fraction(1, 3) <= y < Fraction(2, 3):
-        left = Affine(third, Fraction(0), c)
-        right = Affine(third, Fraction(2, 3), c)
+    left, right = Cantor(third, Fraction(0)), Cantor(third, Fraction(2, 3))
+    if third <= y < Fraction(2, 3):
         at = [Finite((y,))] if y == third else []
         return _drop_empty([left] + at), _drop_empty([right] + at)
     if y < third:
         b, a = _split_cantor(3 * y, depth + 1)
         b, a = map_affine(b, third, 0), map_affine(a, third, 0)
-        return b, _drop_empty([a, Affine(third, Fraction(2, 3), c)])
+        return b, _drop_empty([a, right])
     b, a = _split_cantor(3 * y - 2, depth + 1)
     b, a = map_affine(b, third, Fraction(2, 3)), map_affine(a, third, Fraction(2, 3))
-    return _drop_empty([Affine(third, Fraction(0), c), b]), a
+    return _drop_empty([left, b]), a
 
 
 _SPLIT_CAP = 100_000
@@ -418,14 +409,6 @@ class AccStructure:
         return len(self.anchors) if not self.families else -1
 
 
-def _point_leaves(s: SetExpr) -> list[SetExpr]:
-    """leaves(s), with each one-point interval read as the finite point it is."""
-    return [
-        Finite((leaf.iv.lo,)) if isinstance(leaf, IntervalSet) and leaf.iv.is_point() else leaf
-        for leaf in leaves(s)
-    ]
-
-
 def _merge_flag(table: dict, value: Rat, left: bool, right: bool):
     l0, r0 = table.get(value, (False, False))
     table[value] = (l0 or left, r0 or right)
@@ -440,33 +423,21 @@ def acc_structure(s: SetExpr) -> AccStructure:
         raise Unsupported("accumulation structure needs a countable set")
     anchor_flags: dict[Rat, tuple[bool, bool]] = {}
     families: list[AccFamily] = []
-    for leaf in _point_leaves(s):
-        if isinstance(leaf, Finite):
+    for leaf in leaves(s):
+        if leaf_points(leaf) is not None:
             continue
         if isinstance(leaf, Dense):
             raise Unsupported("dense filler has a continuum of accumulation points")
         if isinstance(leaf, Seq):
-            sign = tf_eventual_sign(leaf.tail)
-            _merge_flag(anchor_flags, leaf.limit, sign < 0, sign > 0)
-            continue
-        if isinstance(leaf, Seq2):
+            sign, fams = tf_eventual_sign(leaf.tail), ()
+        else:  # a double sequence, the last kind a countable set has
             sign = tf_eventual_sign(leaf.outer)
-            _merge_flag(anchor_flags, leaf.limit, sign < 0, sign > 0)
-            fams = [leaf.outer]
-            if leaf.inner != leaf.outer:
-                fams.append(leaf.inner)
-            for tf in fams:
-                families.append(
-                    AccFamily(
-                        limit=leaf.limit,
-                        tf=tf,
-                        start=tf_monotone_index(tf),
-                        left_sided=sign < 0,
-                        right_sided=sign > 0,
-                    )
-                )
-            continue
-        raise Unsupported(f"unsupported leaf for accumulation structure: {leaf!r}")
+            fams = (leaf.outer,) if leaf.inner == leaf.outer else (leaf.outer, leaf.inner)
+        _merge_flag(anchor_flags, leaf.limit, sign < 0, sign > 0)
+        families += [
+            AccFamily(leaf.limit, tf, tf_monotone_index(tf), sign < 0, sign > 0)
+            for tf in fams
+        ]
 
     # family prefix points (before the monotone tail) become plain anchors
     for fam in families:
@@ -600,7 +571,7 @@ def _fam_extreme_below(fam: AccFamily, x: Rat) -> Rat | None:
 
 def _check_isolated_dense(ls):
     for leaf in ls:
-        if not isinstance(leaf, (Finite, Seq, Seq2)):
+        if leaf_points(leaf) is None and not isinstance(leaf, (Seq, Seq2)):
             raise NotIsolatedDense(
                 "set is not the closure of its isolated points"
             )
@@ -608,8 +579,8 @@ def _check_isolated_dense(ls):
 
 def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
     """Yield (main, tinies, float value) for points that could survive."""
-    if isinstance(leaf, Finite):
-        for p in leaf.points:
+    if (points := leaf_points(leaf)) is not None:
+        for p in points:
             yield p, (), float(p)
         return
     if isinstance(leaf, Seq):
@@ -622,23 +593,21 @@ def _leaf_candidates_exact(leaf, delta: Rat, budget: int):
             total = leaf.limit + main
             yield total, tinies, float(total)
         return
-    if isinstance(leaf, Seq2):
-        n_cut = tf_abs_below_index(leaf.outer, delta)
-        k_cut = tf_abs_below_index(leaf.inner, delta)
-        if (n_cut - leaf.outer.start) * max(k_cut - leaf.inner.start, 1) > budget:
-            raise BudgetExceeded("isolated point budget exhausted")
-        inner = [tf_value_parts(leaf.inner, k) for k in range(leaf.inner.start, k_cut)]
-        inner = [(gm, gt) for gm, gt in inner if abs(gm) >= delta]
-        for n in range(leaf.outer.start, n_cut):
-            fm, ft = tf_value_parts(leaf.outer, n)
-            if abs(fm) < delta:
-                continue
-            base = leaf.limit + fm
-            for gm, gt in inner:
-                total = base + gm
-                yield total, ft + gt, float(total)
-        return
-    raise NotIsolatedDense("set is not the closure of its isolated points")
+    # a double sequence, the last kind _check_isolated_dense lets through
+    n_cut = tf_abs_below_index(leaf.outer, delta)
+    k_cut = tf_abs_below_index(leaf.inner, delta)
+    if (n_cut - leaf.outer.start) * max(k_cut - leaf.inner.start, 1) > budget:
+        raise BudgetExceeded("isolated point budget exhausted")
+    inner = [tf_value_parts(leaf.inner, k) for k in range(leaf.inner.start, k_cut)]
+    inner = [(gm, gt) for gm, gt in inner if abs(gm) >= delta]
+    for n in range(leaf.outer.start, n_cut):
+        fm, ft = tf_value_parts(leaf.outer, n)
+        if abs(fm) < delta:
+            continue
+        base = leaf.limit + fm
+        for gm, gt in inner:
+            total = base + gm
+            yield total, ft + gt, float(total)
 
 
 def _iter_unique_candidates(ls, delta: Rat, budget: int):
@@ -685,7 +654,7 @@ def isolated_outside(s: SetExpr, delta: Rat, budget: int = 1_000_000) -> list[Ra
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ls = _point_leaves(s)
+    ls = leaves(s)
     _check_isolated_dense(ls)
     out: list[Rat] = []
     for main, tinies, _xf in _survivors(s, ls, delta, budget):
@@ -711,7 +680,7 @@ def isolated_stats(
     `collisions` keeps the answers to the delta-independent questions of
     the dedup (`_build_skips`), so calls that share it ask each one once.
     """
-    ls = _point_leaves(s)
+    ls = leaves(s)
     _check_isolated_dense(ls)
     if any(isinstance(l, Seq2) for l in ls):
         count = 0
@@ -743,8 +712,8 @@ def _fast_leaf_scan(leaf, skip: set, points: list[Rat], delta: Rat, budget: int)
 
     count = 0
     total = 0.0
-    if isinstance(leaf, Finite):
-        for p in leaf.points:
+    if (finite := leaf_points(leaf)) is not None:
+        for p in finite:
             if ("f", p) in skip or exact_excluded(p):
                 continue
             count += 1
@@ -906,12 +875,11 @@ def _build_skips(leaves, delta: Rat, memo: dict) -> list[set]:
     skips: list[set] = [set() for _ in leaves]
     finite_vals: dict[Rat, int] = {}
     for i, leaf in enumerate(leaves):
-        if isinstance(leaf, Finite):
-            for p in leaf.points:
-                if p in finite_vals:
-                    skips[i].add(("f", p))
-                else:
-                    finite_vals[p] = i
+        for p in leaf_points(leaf) or ():
+            if p in finite_vals:
+                skips[i].add(("f", p))
+            else:
+                finite_vals[p] = i
     seq_ids = [i for i, l in enumerate(leaves) if isinstance(l, Seq)]
     for j in seq_ids:
         index = index_in(leaves[j])
@@ -1027,9 +995,8 @@ def _closure_profile(s: SetExpr):
         if not parts:
             raise Unsupported("hausdorff distance of an empty set is not defined")
         return ("iu", iu_normalize(parts))
-    cmap = cantor_map(ls[0]) if len(ls) == 1 else None
-    if cmap is not None:
-        return ("cantor", *cmap)
+    if len(ls) == 1 and isinstance(ls[0], Cantor):
+        return ("cantor", ls[0].alpha, ls[0].beta)
     raise Unsupported("hausdorff distance not implemented for this shape pair")
 
 

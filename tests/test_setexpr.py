@@ -36,7 +36,7 @@ def test_parse_examples():
     s = parse("[0,1] U Q(1,2)")
     assert isinstance(s.parts[0], IntervalSet) and isinstance(s.parts[1], Dense)
     s = parse("3*C + 1")
-    assert s == Affine(F(3), F(1), Cantor())
+    assert s == Cantor(F(3), F(1))
     assert parse("{}") == Finite(())
     assert parse("{} U [0,1] U {}") == parse("[0,1]")
 
