@@ -176,6 +176,19 @@ def _seq_iter(limit: Rat, tf: TermFun, skip_indices: frozenset[int]):
         n += 1
 
 
+def _window_cert(rate: Callable[[Fraction], int], dev: Rat) -> Callable[[Fraction], int]:
+    """The mean certificate of a stream whose elements lie within eps of its
+    mean from index rate(eps) on and within dev of it before: past the
+    returned index the running mean stays within eps."""
+
+    def cert(eps: Fraction) -> int:
+        m_e = rate(eps / 2)
+        need = Fraction(2) * m_e * max(dev, eps) / eps
+        return max(m_e, math.ceil(need)) + 1
+
+    return cert
+
+
 def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
     tf = leaf.tail
     m = tf_monotone_index(tf)
@@ -186,11 +199,6 @@ def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
     def rate(eps: Fraction) -> int:
         return tf_abs_below_index(tf, eps) - tf.start + 1
 
-    def cert(eps: Fraction) -> int:
-        m_e = rate(eps / 2)
-        need = Fraction(2) * m_e * max(dev, eps) / eps
-        return max(m_e, math.ceil(need)) + 1
-
     def contains(v: Rat) -> bool:
         idx = _seq_value_index(leaf.limit, tf, v)
         return idx is not None and idx not in skip_indices
@@ -199,7 +207,7 @@ def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
         _seq_iter(leaf.limit, tf, frozenset(skip_indices)),
         mean=leaf.limit,
         elem_rate=rate,
-        mean_cert=cert,
+        mean_cert=_window_cert(rate, dev),
         dev_bound=dev,
         contains=contains,
     )
@@ -236,11 +244,6 @@ def stream_from_dense_edge(d: Dense, target_hi: bool) -> ValueStream:
             k += 1
         return k + 1
 
-    def cert(eps: Fraction) -> int:
-        m_e = rate(eps / 2)
-        need = Fraction(2) * m_e * max(width, eps) / eps
-        return max(m_e, math.ceil(need)) + 1
-
     def contains(v: Rat) -> bool:
         # level j >= 1 emits the multiple of 2^-j nearest the edge inside
         # (lo, hi), so v = m/2^j0 (reduced) is emitted iff one step of level
@@ -255,7 +258,7 @@ def stream_from_dense_edge(d: Dense, target_hi: bool) -> ValueStream:
         _dense_edge_values(d, target_hi),
         mean=target,
         elem_rate=rate,
-        mean_cert=cert,
+        mean_cert=_window_cert(rate, width),
         dev_bound=width,
         contains=contains,
     )

@@ -205,13 +205,16 @@ def union(*parts: SetExpr) -> SetExpr:
 # ---------------------------------------------------------------------------
 # affine normalization
 
+_LEAF_KINDS = (Finite, Seq, Seq2, IntervalSet, Dense, Cantor)
+
 
 def normalize_affine(s: SetExpr) -> SetExpr:
-    """The canonical tree of s: map_affine(s, 1, 0).
-
-    On a canonical tree this is a walk that returns s itself.
-    """
-    return map_affine(s, Fraction(1), Fraction(0))
+    """The canonical tree of s, read through leaves(s): a canonical tree
+    comes back as itself."""
+    parts = leaves(s)
+    if len(parts) == 1:
+        return parts[0]
+    return s if getattr(s, "parts", None) is parts else Union(parts)
 
 
 def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
@@ -222,24 +225,16 @@ def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
     Cantor leaf carries its map.  A mapped dense filler is re-anchored to
     the dyadics of its image interval (same closure and measure, different
     points).  Any other node raises TypeError, here and so in every reader
-    of leaves().  Under the identity map a leaf comes back as the same
-    object, and so does a union whose parts all do.
+    of leaves().
     """
     if a == 0:
         raise SemanticError("affine map must be invertible (alpha != 0)")
     if isinstance(s, Union):
-        parts = [map_affine(p, a, b) for p in s.parts]
-        if len(parts) > 1 and all(
-            q is p and not isinstance(q, Union) for p, q in zip(s.parts, parts)
-        ):
-            return s
-        return union(*parts)
+        return union(*(map_affine(p, a, b) for p in s.parts))
     if isinstance(s, Affine):
         return map_affine(s.inner, a * s.alpha, a * s.beta + b)
-    if not isinstance(s, (Finite, Seq, Seq2, IntervalSet, Dense, Cantor)):
+    if not isinstance(s, _LEAF_KINDS):
         raise TypeError(f"unknown node {s!r}")
-    if a == 1 and b == 0:
-        return s
     if isinstance(s, Finite):
         return Finite(tuple(a * x + b for x in s.points))
     if isinstance(s, Seq):
@@ -258,10 +253,19 @@ def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
 
 
 def leaves(s: SetExpr) -> tuple[SetExpr, ...]:
-    """The flat leaf tuple of normalize_affine(s): each leaf is a Finite,
-    Seq, Seq2, IntervalSet, Dense or Cantor, never a Union or an Affine."""
-    s = normalize_affine(s)
-    return s.parts if isinstance(s, Union) else (s,)
+    """The flat leaf tuple of the canonical tree of s: each leaf is a
+    Finite, Seq, Seq2, IntervalSet, Dense or Cantor, never a Union or an
+    Affine.
+
+    A leaf and a union of two or more leaves are canonical and are read as
+    they stand; any other tree is rebuilt once by map_affine(s, 1, 0).
+    """
+    if isinstance(s, Union):
+        if len(s.parts) > 1 and all(isinstance(p, _LEAF_KINDS) for p in s.parts):
+            return s.parts
+    elif isinstance(s, _LEAF_KINDS):
+        return (s,)
+    return leaves(map_affine(s, Fraction(1), Fraction(0)))
 
 
 def leaf_points(leaf: SetExpr) -> tuple[Rat, ...] | None:
@@ -352,23 +356,37 @@ def _dyadic_in(lo: Rat, hi: Rat, x: Rat) -> bool:
     return d & (d - 1) == 0
 
 
-def _cantor_contains(x: Rat) -> bool:
-    if x < 0 or x > 1:
-        return False
-    seen = set()
+def _cantor_max_le(t: Rat) -> Rat | None:
+    """max of (Cantor set) intersect [0, t], exact."""
+    if t < 0:
+        return None
+    if t >= 1:
+        return Fraction(1)
+    # iterate the ternary orbit accumulating the affine answer map x -> (x+b)/3^k
+    shift = Fraction(0)
+    scale = Fraction(1)
+    seen: dict[Rat, tuple[Rat, Rat]] = {}
     while True:
-        if x == 0 or x == 1:
-            return True
-        if x in seen:
-            return True  # periodic ternary orbit that never enters a gap
-        seen.add(x)
-        x *= 3
-        if x > 2:
-            x -= 2
-        elif x >= 1:
-            return False  # fell into a removed middle third
-        if len(seen) > 10_000:
-            raise BudgetExceeded("cantor membership orbit too long")
+        if Fraction(1, 3) <= t < Fraction(2, 3):
+            return shift + scale * Fraction(1, 3)
+        if t in seen:
+            s0, c0 = seen[t]
+            # answer = s0 + c0 * answer_local and answer_local repeats:
+            # solve a = shift_rel + scale_rel * a relative to first visit
+            rel_scale = scale / c0
+            rel_shift = (shift - s0) / c0
+            a_local = rel_shift / (1 - rel_scale)
+            return s0 + c0 * a_local
+        seen[t] = (shift, scale)
+        if t < Fraction(1, 3):
+            t = 3 * t
+            scale = scale / 3
+        else:
+            t = 3 * t - 2
+            shift = shift + scale * Fraction(2, 3)
+            scale = scale / 3
+        if len(seen) > 100_000:
+            raise BudgetExceeded("cantor orbit too long")
 
 
 def _seq_value_index(limit: Rat, tf: TermFun, x: Rat) -> int | None:
@@ -396,7 +414,8 @@ def contains_point(s: SetExpr, x: Rat) -> bool:
         elif isinstance(leaf, Dense):
             hit = _dyadic_in(leaf.lo, leaf.hi, x)
         else:  # a Cantor leaf
-            hit = _cantor_contains((x - leaf.beta) / leaf.alpha)
+            u = (x - leaf.beta) / leaf.alpha
+            hit = _cantor_max_le(u) == u
         if hit:
             return True
     return False
@@ -509,8 +528,6 @@ def enumerate_points(s: SetExpr, budget: int) -> list[Rat]:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if has_uncountable_leaf(s):
-        raise Uncountable("cannot enumerate a set with an uncountable leaf")
     out: list[Rat] = []
     seen: set[Rat] = set()
     for v in point_generator(s):

@@ -30,6 +30,7 @@ from .setexpr import (
     Seq,
     Seq2,
     SetExpr,
+    _cantor_max_le,
     _seq_value_index,
     bounds,
     contains_point,
@@ -249,13 +250,12 @@ def _split(s: SetExpr, y: Rat) -> tuple[SetExpr, SetExpr]:
         below = _drop_empty([Dense(s.lo, y)] + at)
         above = _drop_empty([Dense(y, s.hi)] + at)
         return below, above
-    if isinstance(s, Seq):
-        return _split_seq(s, y)
-    if isinstance(s, Seq2):
-        if tf_eventual_sign(s.outer) < 0:
+    if isinstance(s, (Seq, Seq2)):
+        if tf_eventual_sign(s.tail if isinstance(s, Seq) else s.outer) < 0:
+            # a negative tail: split the reflection, which has a positive one
             b, a = _split(map_affine(s, -1, 0), -y)
             return map_affine(a, -1, 0), map_affine(b, -1, 0)
-        return _split_seq2(s, y)
+        return _split_seq(s, y) if isinstance(s, Seq) else _split_seq2(s, y)
     # a Cantor leaf alpha * C + beta
     alpha, beta = s.alpha, s.beta
     b, a = _split_cantor((y - beta) / alpha)
@@ -291,6 +291,7 @@ _SPLIT_CAP = 100_000
 
 
 def _split_seq(s: Seq, y: Rat) -> tuple[SetExpr, SetExpr]:
+    """Split a sequence with a positive tail."""
     tf = s.tail
     m = tf_monotone_index(tf)
     t = y - s.limit
@@ -302,32 +303,27 @@ def _split_seq(s: Seq, y: Rat) -> tuple[SetExpr, SetExpr]:
             below_pts.append(s.limit + v)
         if v >= t:
             above_pts.append(s.limit + v)
-    sign = tf_eventual_sign(tf)
-    tail = Seq(s.limit, tf_with_start(tf, m + 1))
-    if sign > 0:
-        if t <= 0:
-            return (
-                Finite(tuple(below_pts)),
-                _drop_empty([Finite(tuple(above_pts)), tail]),
-            )
-        # tail values descend to 0: find first index with value <= t
-        n_star = _tail_index(lambda n: tf_cmp(tf, n, t) <= 0, m + 1)
-        if n_star - (m + 1) > _SPLIT_CAP:
-            raise BudgetExceeded("split produces too many explicit points")
-        for n in range(m + 1, n_star):
-            v = tf_value(tf, n)
-            if v >= t:  # v > t except possible boundary equality
-                above_pts.append(s.limit + v)
-        lower_tail = Seq(s.limit, tf_with_start(tf, n_star))
-        if tf_cmp(tf, n_star, t) == 0:
-            above_pts.append(s.limit + tf_value(tf, n_star))
+    if t <= 0:
+        tail = Seq(s.limit, tf_with_start(tf, m + 1))
         return (
-            _drop_empty([Finite(tuple(below_pts)), lower_tail]),
-            Finite(tuple(above_pts)),
+            Finite(tuple(below_pts)),
+            _drop_empty([Finite(tuple(above_pts)), tail]),
         )
-    # negative tail: mirror through reflection
-    b, a = _split_seq(map_affine(s, -1, 0), -y)
-    return map_affine(a, -1, 0), map_affine(b, -1, 0)
+    # tail values descend to 0: find first index with value <= t
+    n_star = _tail_index(lambda n: tf_cmp(tf, n, t) <= 0, m + 1)
+    if n_star - (m + 1) > _SPLIT_CAP:
+        raise BudgetExceeded("split produces too many explicit points")
+    for n in range(m + 1, n_star):
+        v = tf_value(tf, n)
+        if v >= t:  # v > t except possible boundary equality
+            above_pts.append(s.limit + v)
+    lower_tail = Seq(s.limit, tf_with_start(tf, n_star))
+    if tf_cmp(tf, n_star, t) == 0:
+        above_pts.append(s.limit + tf_value(tf, n_star))
+    return (
+        _drop_empty([Finite(tuple(below_pts)), lower_tail]),
+        Finite(tuple(above_pts)),
+    )
 
 
 def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
@@ -934,39 +930,6 @@ def _build_skips(leaves, delta: Rat, memo: dict) -> list[set]:
             else:
                 tiny_keys[key] = (j, n)
     return skips
-
-
-def _cantor_max_le(t: Rat) -> Rat | None:
-    """max of (Cantor set) intersect [0, t], exact."""
-    if t < 0:
-        return None
-    if t >= 1:
-        return Fraction(1)
-    # iterate the ternary orbit accumulating the affine answer map x -> (x+b)/3^k
-    shift = Fraction(0)
-    scale = Fraction(1)
-    seen: dict[Rat, tuple[Rat, Rat]] = {}
-    while True:
-        if Fraction(1, 3) <= t < Fraction(2, 3):
-            return shift + scale * Fraction(1, 3)
-        if t in seen:
-            s0, c0 = seen[t]
-            # answer = s0 + c0 * answer_local and answer_local repeats:
-            # solve a = shift_rel + scale_rel * a relative to first visit
-            rel_scale = scale / c0
-            rel_shift = (shift - s0) / c0
-            a_local = rel_shift / (1 - rel_scale)
-            return s0 + c0 * a_local
-        seen[t] = (shift, scale)
-        if t < Fraction(1, 3):
-            t = 3 * t
-            scale = scale / 3
-        else:
-            t = 3 * t - 2
-            shift = shift + scale * Fraction(2, 3)
-            scale = scale / 3
-        if len(seen) > 100_000:
-            raise BudgetExceeded("cantor orbit too long")
 
 
 def _cantor_min_ge(t: Rat) -> Rat | None:

@@ -15,11 +15,21 @@ form on a mapped dense filler or a nested union.  These tests fail when:
   re-derives that a one-point interval is a finite point;
 - a function other than `map_affine` (an unknown node) and `ideal_limits`
   (an unknown ideal) raises TypeError, so keeps its own unknown-node
-  fallback.
+  fallback;
+- `leaves` or `normalize_affine` rebuilds a canonical tree through
+  `map_affine` instead of reading it, or reads a tree that is not canonical
+  (a nested union, an `Affine` node, a one-part union) as it stands.
 """
 
 import ast
+from fractions import Fraction as F
 from pathlib import Path
+from random import Random
+
+from setmeans import Affine, Cantor, Finite, Union, normalize_affine, parse, setexpr
+from setmeans.setexpr import leaves
+
+from gen import random_bounded, random_countable
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setmeans"
 MAY_TEST = {
@@ -113,3 +123,30 @@ def test_only_map_affine_refuses_an_unknown_node():
         - MAY_RAISE_TYPE_ERROR
     )
     assert found == [], found
+
+
+def test_a_canonical_tree_is_read_without_map_affine(monkeypatch):
+    rng = Random(2525)
+    trees = [normalize_affine(random_bounded(rng)) for _ in range(300)]
+    trees += [normalize_affine(random_countable(rng, allow_dense=True)) for _ in range(300)]
+    calls = []
+    real = setexpr.map_affine
+    monkeypatch.setattr(
+        setexpr, "map_affine", lambda *args: calls.append(args) or real(*args)
+    )
+    for t in trees:
+        assert leaves(t) == (t.parts if isinstance(t, Union) else (t,))
+        assert normalize_affine(t) is t
+    assert calls == []
+
+
+def test_a_tree_that_is_not_canonical_is_rebuilt():
+    c, q, two = Cantor(), parse("{1/n}"), Finite((F(2),))
+    assert leaves(Union((Union((c, q)), two))) == (c, q, two)
+    assert leaves(Union((two, Union((q,))))) == (two, q)
+    mapped = Affine(F(2), F(1), Union((c, q)))
+    assert leaves(mapped) == (Cantor(F(2), F(1)), parse("{1 + 2/n}"))
+    assert leaves(Affine(F(1), F(0), q)) == (q,)
+    assert leaves(Union((c,))) == (c,)
+    assert normalize_affine(Union((c,))) == c
+    assert normalize_affine(mapped) == parse("2*C + 1 U {1 + 2/n}")

@@ -1,5 +1,6 @@
 """Set expressions: parsing round-trips, bounds, enumeration, membership."""
 
+from bisect import bisect_right
 from fractions import Fraction as F
 from random import Random
 
@@ -26,6 +27,8 @@ from setmeans import (
     term_fun,
     PowTerm,
 )
+
+from setmeans.measure import _cantor_pieces
 
 from gen import random_bounded, random_countable
 
@@ -126,6 +129,8 @@ def test_enumerate_uncountable_rejected():
         enumerate_points(parse("[0,1]"), 5)
     with pytest.raises(Uncountable):
         enumerate_points(parse("C U {1/n}"), 5)
+    with pytest.raises(Uncountable):  # refused before the first value
+        enumerate_points(parse("{1/n} U 2*C"), 0)
 
 
 def test_dense_enumeration_is_dyadic():
@@ -148,6 +153,27 @@ def test_membership():
     assert not contains_point(parse("C"), F(1, 2))
     assert contains_point(parse("Q(0,1)"), F(3, 8))
     assert not contains_point(parse("Q(0,1)"), F(1, 3))
+
+
+def test_cantor_membership_at_the_ends_of_removed_thirds():
+    """C is closed: the ends of every removed third belong to it.  A point
+    k/3^j lies in C exactly when it lies in a closed construction piece of
+    level j, and the mapped leaves alpha * C + beta agree at alpha*x + beta."""
+    c = parse("C")
+    for x in (F(1, 3), F(2, 3), F(2, 9), F(7, 9), F(1, 4), F(3, 4)):
+        assert contains_point(c, x), x
+    assert contains_point(parse("3*C + 1"), F(2))
+    mapped = [parse("3*C + 1"), parse("-1/3*C + 2")]
+    for j in range(9):
+        pieces = _cantor_pieces(F(1), F(0), j)
+        los = [iv.lo for iv in pieces]
+        for k in range(3**j + 1):
+            x = F(k, 3**j)
+            i = bisect_right(los, x) - 1
+            want = i >= 0 and x <= pieces[i].hi
+            assert contains_point(c, x) == want, x
+            for leaf in mapped:
+                assert contains_point(leaf, leaf.alpha * x + leaf.beta) == want, (leaf, x)
 
 
 def test_seq_validation():
