@@ -44,20 +44,14 @@ from .topology import (
 )
 from .cesaro import enumerate_divergent, enumerate_with_mean
 
-_IDEALS = {
-    "empty": Ideal.EMPTY_ONLY,
-    "finite": Ideal.FINITE_SETS,
-    "countable": Ideal.COUNTABLE_SETS,
-    "null": Ideal.NULL_SETS,
-}
-
 
 def _ideal(spec: str) -> Ideal:
     """The ideal named after the colon of `ideal:kind` or `limits:kind`."""
     kind = spec.split(":", 1)[1]
-    if kind not in _IDEALS:
-        raise SetMeansError(f"unknown ideal kind {kind!r}")
-    return _IDEALS[kind]
+    try:
+        return Ideal(kind)
+    except ValueError:
+        raise SetMeansError(f"unknown ideal kind {kind!r}") from None
 
 
 def _frac_str(x: Fraction) -> str:

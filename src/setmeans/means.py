@@ -31,7 +31,6 @@ from .errors import (
 )
 from .measure import (
     _charge,
-    _positive_intervals,
     cantor_neighborhood_stats,
     neighborhood,
     read_at_scale,
@@ -41,7 +40,6 @@ from .setexpr import (
     Seq2,
     SetExpr,
     bounds,
-    has_uncountable_leaf,
     is_infinite,
     leaf_points,
     leaves,
@@ -55,7 +53,6 @@ from .terms import (
 )
 from .topology import (
     Ideal,
-    _IDEAL_ORDER,
     acc_chain,
     ideal_limits,
     is_empty_expr,
@@ -233,12 +230,7 @@ def _finite_points(s: SetExpr) -> list[Rat]:
 
 def mean_lis(s: SetExpr) -> MeanOutcome:
     """Midpoint of the accumulation range; arithmetic mean on finite sets."""
-    if is_empty_expr(s):
-        raise UndefinedMean("empty set")
-    if not is_infinite(s):
-        return exact_outcome(arithmetic_mean(_finite_points(s)))
-    lo, hi = ideal_limits(s, Ideal.FINITE_SETS)
-    return exact_outcome((lo + hi) / 2)
+    return mean_ideal_chain(s, (Ideal.FINITE_SETS,))
 
 
 def mean_ideal(s: SetExpr, ideal: Ideal) -> MeanOutcome:
@@ -249,36 +241,27 @@ def mean_ideal(s: SetExpr, ideal: Ideal) -> MeanOutcome:
 DEFAULT_CHAIN = (Ideal.FINITE_SETS, Ideal.COUNTABLE_SETS)
 
 
-def _in_ideal(s: SetExpr, ideal: Ideal) -> bool:
-    if ideal is Ideal.EMPTY_ONLY:
-        return is_empty_expr(s)
-    if ideal is Ideal.FINITE_SETS:
-        return not is_infinite(s)
-    if ideal is Ideal.COUNTABLE_SETS:
-        return not has_uncountable_leaf(s)
-    return not _positive_intervals(leaves(s))
-
-
 def mean_ideal_chain(s: SetExpr, chain=DEFAULT_CHAIN) -> MeanOutcome:
-    """Mean at the first chain level whose ideal still excludes the set."""
+    """Mean at the last chain level whose ideal still excludes the set.
+
+    The ideals are nested, so climbing down from the largest, the first
+    level whose `ideal_limits` does not raise `InIdeal` is that level.
+    """
     if is_empty_expr(s):
         raise UndefinedMean("empty set")
     chain = tuple(chain)
-    if any(
-        _IDEAL_ORDER[a] >= _IDEAL_ORDER[b] for a, b in zip(chain, chain[1:])
-    ):
+    order = list(Ideal)
+    if any(order.index(a) >= order.index(b) for a, b in zip(chain, chain[1:])):
         raise ValueError("ideal chain must be strictly increasing")
     if not is_infinite(s):
         return exact_outcome(arithmetic_mean(_finite_points(s)))
-    if _in_ideal(s, chain[0]):
-        raise InIdeal("infinite set inside the first chain ideal")
-    level = len(chain) - 1
-    for i in range(1, len(chain)):
-        if _in_ideal(s, chain[i]):
-            level = i - 1
-            break
-    lo, hi = ideal_limits(s, chain[level])
-    return exact_outcome((lo + hi) / 2)
+    for ideal in reversed(chain):
+        try:
+            lo, hi = ideal_limits(s, ideal)
+        except InIdeal:
+            continue
+        return exact_outcome((lo + hi) / 2)
+    raise InIdeal("infinite set inside the first chain ideal")
 
 
 def mean_acc(s: SetExpr, max_depth: int = 32) -> MeanOutcome:
@@ -753,9 +736,7 @@ class OscillatingIsoSet:
     def _stage_points(self, j: int, m: int) -> tuple[Fraction, Fraction]:
         """(count, exact sum) of m evenly placed points inside the shell."""
         lo, hi = self._stage_shell(j)
-        width = hi - lo
-        total = m * lo + width * Fraction(sum(range(1, m + 1)), m + 1)
-        return m, total
+        return m, m * (lo + hi) / 2  # the points pair up around the midpoint
 
     def stage_points_explicit(self, j: int) -> list[Fraction]:
         self.ensure_stages(j)

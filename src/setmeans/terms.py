@@ -488,15 +488,6 @@ def _safe_ratio_pow(r: Fraction, e: int) -> Fraction:
     return _pow_cached(r, e)
 
 
-def _dval_hi(t: Term, n: int) -> Fraction:
-    """Upper bound on |t(n) - t(n+1)|, valid and non-increasing for n >= 1."""
-    if isinstance(t, PowTerm):
-        return abs(t.c) * t.p / Fraction(n ** (t.p + 1))
-    if isinstance(t, GeoTerm):
-        return abs(t.c) * (1 - t.r) * _pow_cached(t.r, n)
-    return abs(t.c) * _pow_cached(t.r, min(t.s**n, BOUND_CAP))
-
-
 def _dval_lo(t: Term, n: int) -> Fraction:
     """Lower bound on |t(n) - t(n+1)| at the specific index n."""
     if isinstance(t, PowTerm):
@@ -510,7 +501,7 @@ def _dval_lo(t: Term, n: int) -> Fraction:
 
 
 def _dratio_le(dom: Term, oth: Term, n: int, q: Fraction) -> bool:
-    """Difference-envelope ratio test: dval_hi(oth,n) <= q * dval_lo(dom,n)."""
+    """Difference-envelope ratio test: oth's gap bound <= q * _dval_lo(dom, n)."""
     cd, co = abs(dom.c), abs(oth.c)
     if isinstance(dom, PowTerm):
         lo_inv = Fraction((n + 1) ** (dom.p + 1)) / (cd * dom.p)
@@ -549,11 +540,6 @@ def tf_monotone_index(tf: TermFun) -> int:
         )
 
     return _certified(first_index(ok, base))
-
-
-def tf_gap_bound(tf: TermFun, n: int) -> Fraction:
-    """Monotone upper bound on |f(m) - f(m+1)| for all m >= n >= M."""
-    return Fraction(3, 2) * _dval_hi(_dominant(tf), n)
 
 
 def tf_abs_upper(tf: TermFun, n: int) -> Fraction:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat, _merge_ranges, iu_normalize, point, rat
+from .core import Interval, Rat, _merge_ranges, iu_normalize, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -162,26 +162,12 @@ def acc_chain(s: SetExpr, max_depth: int = 16) -> tuple[list[SetExpr], bool]:
 
 
 class Ideal(enum.Enum):
+    """The ideals in their definition order, each inside the next."""
+
     EMPTY_ONLY = "empty"
     FINITE_SETS = "finite"
     COUNTABLE_SETS = "countable"
     NULL_SETS = "null"
-
-
-_IDEAL_ORDER = {
-    Ideal.EMPTY_ONLY: 0,
-    Ideal.FINITE_SETS: 1,
-    Ideal.COUNTABLE_SETS: 2,
-    Ideal.NULL_SETS: 3,
-}
-
-
-def _uncountable_leaf_bounds(ls) -> list[tuple[Rat, Rat]]:
-    return [
-        bounds(leaf)[:2]
-        for leaf in ls
-        if isinstance(leaf, (IntervalSet, Cantor)) and leaf_points(leaf) is None
-    ]
 
 
 def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
@@ -202,7 +188,11 @@ def ideal_limits(s: SetExpr, ideal: Ideal) -> tuple[Rat, Rat]:
         lo, hi, _, _ = bounds(d)
         return lo, hi
     if ideal is Ideal.COUNTABLE_SETS:
-        pieces = _uncountable_leaf_bounds(leaves(s))
+        pieces = [
+            bounds(leaf)[:2]
+            for leaf in leaves(s)
+            if isinstance(leaf, (IntervalSet, Cantor)) and leaf_points(leaf) is None
+        ]
         if not pieces:
             raise InIdeal("countable set")
         return min(p[0] for p in pieces), max(p[1] for p in pieces)
@@ -932,92 +922,73 @@ def _build_skips(leaves, delta: Rat, memo: dict) -> list[set]:
     return skips
 
 
-def _cantor_min_ge(t: Rat) -> Rat | None:
-    m = _cantor_max_le(1 - t)
-    return None if m is None else 1 - m
+def _nearest(ls, x: Rat) -> tuple[Rat, ...]:
+    """The points of a closed set nearest to x at or below it and at or
+    above it, those that exist.  The set is given by its leaves: points,
+    closed intervals and Cantor leaves."""
+    near = []
+    for leaf in ls:
+        if isinstance(leaf, Cantor):
+            # C's largest point <= u and, as C = 1 - C, its smallest >= u;
+            # the map puts them on either side of x, swapped when alpha < 0
+            u = (x - leaf.beta) / leaf.alpha
+            lo, hi = _cantor_max_le(u), _cantor_max_le(1 - u)
+            ends = (lo, None if hi is None else 1 - hi)
+            near += [leaf.alpha * v + leaf.beta for v in ends if v is not None]
+        else:
+            near += [min(max(x, lo), hi) for lo, hi in _spans(leaf)]
+    below = max((p for p in near if p <= x), default=None)
+    above = min((p for p in near if p >= x), default=None)
+    return tuple(p for p in (below, above) if p is not None)
 
 
-def _dist_point_cantor(x: Rat) -> Rat:
-    below = _cantor_max_le(x)
-    above = _cantor_min_ge(x)
-    cands = []
-    if below is not None:
-        cands.append(x - below)
-    if above is not None:
-        cands.append(above - x)
-    return min(cands)
+def _spans(leaf) -> list[tuple[Rat, Rat]]:
+    """The (lo, hi) spans of a closed point or interval leaf."""
+    if (points := leaf_points(leaf)) is not None:
+        return [(p, p) for p in points]
+    return [(leaf.iv.lo, leaf.iv.hi)]
 
 
-def _closure_profile(s: SetExpr):
-    """("iu", union) for a closure made of points and intervals, a point
-    being a degenerate part, or ("cantor", alpha, beta) for a mapped C."""
+def _closed_leaves(s: SetExpr):
+    """The leaves of the closure of s, refused unless they are points,
+    closed intervals and Cantor leaves, and not all empty."""
     ls = leaves(closure(s))
-    if all(isinstance(l, (Finite, IntervalSet)) for l in ls):
-        parts = [Interval(l.iv.lo, l.iv.hi) for l in ls if isinstance(l, IntervalSet)]
-        parts += [point(p) for l in ls if isinstance(l, Finite) for p in l.points]
-        if not parts:
-            raise Unsupported("hausdorff distance of an empty set is not defined")
-        return ("iu", iu_normalize(parts))
-    if len(ls) == 1 and isinstance(ls[0], Cantor):
-        return ("cantor", ls[0].alpha, ls[0].beta)
-    raise Unsupported("hausdorff distance not implemented for this shape pair")
+    if any(isinstance(l, (Seq, Seq2)) for l in ls):
+        raise Unsupported("hausdorff distance not implemented for this shape pair")
+    if all(leaf_points(l) == () for l in ls):
+        raise Unsupported("hausdorff distance of an empty set is not defined")
+    return ls
 
 
-def _dist_point_finite(x: Rat, pts: list[Rat]) -> Rat:
-    return min(abs(x - p) for p in pts)
+def _directed(a, b) -> Rat:
+    """sup over x in a of dist(x, b), for closed sets given by their leaves.
 
-
-def _dist_point_iu(x: Rat, u) -> Rat:
-    return min(max(p.lo - x, x - p.hi, Fraction(0)) for p in u.parts)
-
-
-def _directed_iu_to_any(u, dist_fn, breakpoints) -> Rat:
-    """sup over the union of a piecewise-linear distance; candidates are part
-    endpoints plus interior breakpoints of the distance function."""
-    cands = []
-    for p in u.parts:
-        cands.append(p.lo)
-        if p.hi != p.lo:
-            cands.append(p.hi)
-            cands.extend(b for b in breakpoints if p.lo < b < p.hi)
-    return max(dist_fn(c) for c in cands)
+    A finite a is its own list of candidates.  Otherwise b must have
+    finitely many gaps, so no Cantor leaf: between two neighbouring parts of
+    b the distance rises to the gap's midpoint and falls after it, so the
+    sup is attained at an extreme of a or at a point of a nearest to the
+    midpoint of a gap of b.
+    """
+    if all(leaf_points(leaf) is not None for leaf in a):
+        cands = [p for leaf in a for p in leaf_points(leaf)]
+    elif any(isinstance(leaf, Cantor) for leaf in b):
+        raise Unsupported("hausdorff distance not implemented for this shape pair")
+    else:
+        parts = iu_normalize([Interval(lo, hi) for leaf in b for lo, hi in _spans(leaf)]).parts
+        ends = [bounds(leaf)[:2] for leaf in a]
+        cands = [min(lo for lo, _ in ends), max(hi for _, hi in ends)]
+        for p, q in zip(parts, parts[1:]):
+            cands += _nearest(a, (p.hi + q.lo) / 2)
+    return max(min(abs(x - p) for p in _nearest(b, x)) for x in cands)
 
 
 def hausdorff_distance(a: SetExpr, b: SetExpr) -> Rat:
     """Exact Hausdorff distance between the closures of a and b.
 
-    Supported pairs: unions of points and intervals, and a cantor set
-    against finitely many points.
+    Each closure may hold points, closed intervals and Cantor leaves.  The
+    distance is refused (`Unsupported`) for an empty set, for a closure with
+    a sequence leaf, and where a closure with an interval or a Cantor leaf
+    meets a closure with a Cantor leaf.
     """
-    pa = _closure_profile(a)
-    pb = _closure_profile(b)
-    if pa[0] == pb[0] == "iu":
-        ua, ub = pa[1], pb[1]
-        d1 = _directed_iu_to_any(ua, lambda x: _dist_point_iu(x, ub), _gap_midpoints(ub))
-        d2 = _directed_iu_to_any(ub, lambda x: _dist_point_iu(x, ua), _gap_midpoints(ua))
-        return max(d1, d2)
-    profs = {pa[0]: pa, pb[0]: pb}
-    if set(profs) == {"cantor", "iu"} and all(p.lo == p.hi for p in profs["iu"][1].parts):
-        alpha, beta = profs["cantor"][1], profs["cantor"][2]
-        # map the points into base cantor coordinates
-        base_pts = sorted((p.lo - beta) / alpha for p in profs["iu"][1].parts)
-        scale = abs(alpha)
-        d1 = scale * max(_dist_point_cantor(p) for p in base_pts)
-        # directed cantor -> finite: candidates are cantor extremes around the
-        # tent peaks (midpoints) plus the cantor endpoints 0 and 1
-        cands = [Fraction(0), Fraction(1)]
-        for p, q in zip(base_pts, base_pts[1:]):
-            m = (p + q) / 2
-            lo = _cantor_max_le(m)
-            hi = _cantor_min_ge(m)
-            if lo is not None:
-                cands.append(lo)
-            if hi is not None:
-                cands.append(hi)
-        d2 = scale * max(_dist_point_finite(c, base_pts) for c in cands)
-        return max(d1, d2)
-    raise Unsupported("hausdorff distance not implemented for this shape pair")
-
-
-def _gap_midpoints(u) -> list[Rat]:
-    return [(p.hi + q.lo) / 2 for p, q in zip(u.parts, u.parts[1:])]
+    la, lb = _closed_leaves(a), _closed_leaves(b)
+    return max(_directed(la, lb), _directed(lb, la))

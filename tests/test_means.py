@@ -82,6 +82,15 @@ def test_mean_iso_oscillating():
     assert lo < 0.3 and hi > 0.7
 
 
+def test_oscillating_stage_sums_are_the_explicit_sums():
+    """A stage's sum in closed form equals the sum of its explicit points."""
+    osc = OscillatingIsoSet()
+    osc.ensure_stages(8)
+    sums = [F(0)] + osc._sums
+    for j in range(1, 9):
+        assert sums[j] - sums[j - 1] == sum(osc.stage_points_explicit(j))
+
+
 def test_oscillating_builder_stages():
     osc = OscillatingIsoSet()
     osc.ensure_stages(8)

@@ -17,6 +17,14 @@ to `core.iu_union_shifted`, which builds a shifted end only where it
 decides something, so it calls no `shift`; and `iu_normalize` only hands
 its parts to the same helper, whose `_sweep` is the one merge.
 
+Three more keep one rule per topology question.  Only
+`topology.ideal_limits` compares a value with an `Ideal` member: the ideal
+chain climbs through it instead of keeping its own test of each ideal.  The
+Cantor orbit `_cantor_max_le` answers membership in `contains_point` and
+the nearest points of a closure in `topology._nearest`, which is the one
+distance rule of `hausdorff_distance`; the per-pair helpers it replaced
+stay gone.
+
 The last fails when a function body imports from the package: `terms`
 imports only `core` and `errors`, so no such import breaks a cycle.
 """
@@ -116,6 +124,40 @@ def test_one_union_sweep():
     loops = (ast.For, ast.While, ast.comprehension)
     normalize = _function("core", "iu_normalize")
     assert not any(isinstance(node, loops) for node in ast.walk(normalize))
+
+
+def _ideal_member(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_ideal_member(elt) for elt in node.elts)
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Ideal"
+    )
+
+
+def _compares_with_ideal(fn) -> bool:
+    ops = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    return any(
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, ops) for op in node.ops)
+        and any(_ideal_member(x) for x in [node.left, *node.comparators])
+        for node in ast.walk(fn)
+    )
+
+
+def test_one_rule_per_ideal():
+    found = sorted({(mod, fn.name) for mod, fn in _functions() if _compares_with_ideal(fn)})
+    assert found == [("topology", "ideal_limits")], found
+
+
+def test_one_nearest_point_rule():
+    assert _callers("_cantor_max_le") == [
+        ("setexpr", "contains_point"),
+        ("topology", "_nearest"),
+    ]
+    gone = {"_in_ideal", "_closure_profile", "_dist_point_cantor"}
+    assert not [fn.name for _, fn in _functions() if fn.name in gone]
 
 
 def test_no_function_local_package_imports():

@@ -10,6 +10,7 @@ import pytest
 
 from setmeans import DoubleGeoTerm, GeoTerm, PowTerm, SemanticError, term_fun
 from setmeans.terms import (
+    _gap_bound_lt,
     _log2_rat,
     _term_value_float,
     cmp_pow_frac,
@@ -19,9 +20,9 @@ from setmeans.terms import (
     tf_cmp,
     tf_eventual_sign,
     tf_find_value,
-    tf_gap_bound,
     tf_monotone_index,
     tf_resolution_index,
+    tf_tracked_until,
     tf_value,
     tf_value_float,
     tf_value_parts,
@@ -89,18 +90,28 @@ def test_monotone_certificate_random():
 
 
 def test_gap_bound_validity():
+    """Wherever the resolution certificate `_gap_bound_lt(tf, n, eps)` holds,
+    every gap from n on over a window of 24 indices is below eps, and the
+    certificate still holds at n + 1.  The eps tried sit around each gap;
+    the window stops where a value would drop a tracked tiny."""
     rng = Random(29)
+    held = 0
     for _ in range(120):
         tf = random_termfun(rng)
         m = tf_monotone_index(tf)
-        for n in range(m, m + 12):
-            gap = abs(tf_value(tf, n) - tf_value(tf, n + 1))
-            assert gap <= tf_gap_bound(tf, n)
-        # the bound itself never increases
-        bounds = [tf_gap_bound(tf, n) for n in range(m, m + 12)]
-        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
-
-
+        end = m + 12 + 24
+        if (deep := tf_tracked_until(tf)) is not None:
+            end = min(end, deep - 1)
+        gaps = [abs(tf_value(tf, k) - tf_value(tf, k + 1)) for k in range(m, end)]
+        for i, gap in enumerate(gaps[:12]):
+            if gap == 0:
+                continue
+            for eps in (gap / 2, gap, gap * F(3, 2), 2 * gap, 4 * gap):
+                if _gap_bound_lt(tf, m + i, eps):
+                    held += 1
+                    assert max(gaps[i : i + 24]) < eps
+                    assert _gap_bound_lt(tf, m + i + 1, eps)
+    assert held > 500
 def test_resolution_index():
     harm = term_fun([PowTerm(F(1), 1)])
     eps = F(1, 10_000)

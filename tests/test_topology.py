@@ -446,6 +446,31 @@ def test_hausdorff_examples():
     assert hausdorff_distance(parse("Q(0,1)"), parse("[0,1]")) == 0
     with pytest.raises(Unsupported):
         hausdorff_distance(parse("{1/n}"), parse("{0,1}"))
+    # a union with a Cantor leaf against a finite set
+    assert hausdorff_distance(parse("C U {2}"), parse("{0, 1, 2}")) == F(1, 3)
+    assert hausdorff_distance(parse("3*C + 5"), parse("{5, 8}")) == 1
+    assert hausdorff_distance(parse("-1/3*C + 2"), parse("{5/3, 2}")) == F(1, 9)
+    assert hausdorff_distance(parse("C U [2, 3]"), parse("{0, 1, 5/2}")) == F(1, 2)
+    assert hausdorff_distance(parse("{0, 1}"), parse("[0, 1] U 3*C + 2")) == 4
+    # 1/2 lies between 0 and the reversed leaf on [5/3, 2]; 0 is nearer
+    assert hausdorff_distance(parse("-1/3*C + 2 U {0}"), parse("{1/2, 2}")) == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("{1/n} U {5, 6, 7}", "{0}"),  # a sequence leaf, however few parts
+        ("[0,1]", "C"),
+        ("C", "C"),
+        ("C U {2}", "[0, 1]"),
+        ("{}", "{1}"),
+        ("{}", "{}"),
+    ],
+)
+def test_hausdorff_refusals(a, b):
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(Unsupported):
+            hausdorff_distance(parse(x), parse(y))
 
 
 def test_hausdorff_iu_pairs():
@@ -505,6 +530,58 @@ def test_hausdorff_oracle_on_points_and_intervals(a, b):
         max(min(abs(x - y) for y in ga) for x in gb),
     )
     assert hausdorff_distance(parse(_shape_text(*a)), parse(_shape_text(*b))) == brute
+
+
+def _cantor_ends(level: int) -> list[F]:
+    """The ends of the 2**level construction pieces of C."""
+    ends = [F(0), F(1)]
+    for _ in range(level):
+        ends = [e / 3 for e in ends] + [(2 + e) / 3 for e in ends]
+    return ends
+
+
+_CANTOR_ENDS = _cantor_ends(9)
+_CANTOR = strategies.sampled_from(["C", "3*C + 5", "-1/3*C + 2", "C U {p}"])
+_CANTOR_POINT = strategies.sampled_from([F(k, 3) for k in range(-6, 12)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(_CANTOR, _CANTOR_POINT, strategies.none() | _SHAPE, _SHAPE)
+def test_hausdorff_oracle_with_cantor_leaves(cantor, p, extra, other):
+    """A union holding a Cantor leaf gets the brute-force distance to a
+    finite set, and is refused against a set with an interval.  The brute
+    force runs over the ends of the level-9 Cantor pieces, and over interval
+    grids that hold the finite set's points and gap midpoints.  Each Cantor
+    leaf's grid lies within its |alpha| / 3**9 of every point of the leaf,
+    so the brute force is that close to the exact distance."""
+    text = cantor.replace("{p}", "{" + str(p) + "}")
+    if extra is not None:
+        text += " U " + _shape_text(*extra)
+    a, b = parse(text), parse(_shape_text(*other))
+    if other[1]:  # an interval with interior against a Cantor leaf
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(Unsupported):
+                hausdorff_distance(x, y)
+        return
+    gb = sorted({F(q) for q in other[0]})
+    ga, tol = [], F(0)
+    for leaf in leaves(closure(a)):
+        if isinstance(leaf, Finite):
+            ga += leaf.points
+        elif isinstance(leaf, IntervalSet):
+            lo, hi = leaf.iv.lo, leaf.iv.hi
+            marks = gb + [(x + y) / 2 for x, y in zip(gb, gb[1:])]
+            ga += [lo, hi] + [m for m in marks if lo < m < hi]
+        else:
+            ga += [leaf.alpha * e + leaf.beta for e in _CANTOR_ENDS]
+            tol = max(tol, abs(leaf.alpha) / 3**9)
+    brute = max(
+        max(min(abs(x - y) for y in gb) for x in ga),
+        max(min(abs(x - y) for y in ga) for x in gb),
+    )
+    d = hausdorff_distance(a, b)
+    assert d == hausdorff_distance(b, a)
+    assert brute - tol <= d <= brute + tol
 
 
 def test_acc_structure_sidedness():
