@@ -21,11 +21,10 @@ has emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import Rat
+from .core import Rat, Value, _set
 from .errors import Degenerate, NoWitness, OutOfRange, BudgetExceeded
 from .setexpr import (
     Dense,
@@ -295,15 +294,15 @@ def canonical_stream(s: SetExpr, owned: tuple[Callable[[Rat], bool], ...]) -> Va
 # the merge lemmas
 
 
-@dataclass(frozen=True)
-class MergeParams:
+class MergeParams(Value):
     """Asymptotic draw frequencies for the two-stream block merge."""
 
-    alpha: Rat
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not (0 <= self.alpha <= 1):
+    def __init__(self, alpha: Rat):
+        if not (0 <= alpha <= 1):
             raise ValueError("alpha must lie in [0, 1]")
+        _set(self, "alpha", alpha)
 
     @property
     def beta(self) -> Rat:

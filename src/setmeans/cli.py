@@ -4,6 +4,10 @@ traces).
 
 Exit codes: 0 exact/converged/success, 2 divergent, 3 undefined or domain
 error, 1 usage or parse error.
+
+A command reads the functions it runs through the package's lazily loaded
+names, so it loads only their modules: a `topology` or `meanset` command
+never loads `means` or `cesaro`.
 """
 
 from __future__ import annotations
@@ -13,43 +17,19 @@ import json
 import sys
 from fractions import Fraction
 
-from . import meansets
-from .core import MeanSet, rat
+import setmeans  # each command's names load their module on first use
+
+from .core import rat
 from .errors import SetMeansError
-from .means import (
-    MeanOutcome,
-    Schedule,
-    delta_schedule,
-    grid_schedule,
-    mean_acc,
-    mean_eds,
-    mean_ideal,
-    mean_ideal_chain,
-    mean_iso,
-    mean_lis,
-    lavg,
-)
-from .measure import avg_set, ms_hf
 from .parser import ParseError, parse
 from .setexpr import bounds, enumerate_points, has_uncountable_leaf, map_affine, render
-from .topology import (
-    Ideal,
-    acc_chain,
-    closure,
-    derived_set,
-    hausdorff_distance,
-    ideal_limits,
-    isolated_outside,
-    split_at,
-)
-from .cesaro import enumerate_divergent, enumerate_with_mean
 
 
-def _ideal(spec: str) -> Ideal:
+def _ideal(spec: str) -> setmeans.Ideal:
     """The ideal named after the colon of `ideal:kind` or `limits:kind`."""
     kind = spec.split(":", 1)[1]
     try:
-        return Ideal(kind)
+        return setmeans.Ideal(kind)
     except ValueError:
         raise SetMeansError(f"unknown ideal kind {kind!r}") from None
 
@@ -58,7 +38,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _outcome_doc(name: str, out: MeanOutcome) -> dict:
+def _outcome_doc(name: str, out: setmeans.MeanOutcome) -> dict:
     doc = {"mean": name, "status": out.status}
     if out.status in ("exact", "converged"):
         doc["value"] = out.value
@@ -75,7 +55,7 @@ def _outcome_doc(name: str, out: MeanOutcome) -> dict:
     return doc
 
 
-def _meanset_doc(ms: MeanSet) -> dict:
+def _meanset_doc(ms: setmeans.MeanSet) -> dict:
     return {
         "parts": [
             {
@@ -95,7 +75,7 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def _status_exit(out: MeanOutcome) -> int:
+def _status_exit(out: setmeans.MeanOutcome) -> int:
     if out.status in ("exact", "converged"):
         return 0
     if out.status == "divergent":
@@ -103,12 +83,12 @@ def _status_exit(out: MeanOutcome) -> int:
     return 3
 
 
-def _schedules(args) -> tuple[Schedule, Schedule]:
+def _schedules(args) -> tuple[setmeans.Schedule, setmeans.Schedule]:
     tol = args.tol
     max_exp = args.max_exp
     return (
-        delta_schedule(end_exp=max_exp, tol=tol),
-        grid_schedule(end_exp=max_exp, tol=tol),
+        setmeans.delta_schedule(end_exp=max_exp, tol=tol),
+        setmeans.grid_schedule(end_exp=max_exp, tol=tol),
     )
 
 
@@ -117,25 +97,25 @@ def _cmd_eval(args) -> int:
     dsched, gsched = _schedules(args)
     name = args.mean
     if name == "lis":
-        out = mean_lis(s)
+        out = setmeans.mean_lis(s)
     elif name.startswith("ideal:"):
-        out = mean_ideal(s, _ideal(name))
+        out = setmeans.mean_ideal(s, _ideal(name))
     elif name == "ideal-chain":
-        out = mean_ideal_chain(s)
+        out = setmeans.mean_ideal_chain(s)
     elif name == "acc":
-        out = mean_acc(s)
+        out = setmeans.mean_acc(s)
     elif name == "iso":
-        out = mean_iso(s, dsched)
+        out = setmeans.mean_iso(s, dsched)
     elif name == "lavg":
-        out = lavg(s, dsched)
+        out = setmeans.lavg(s, dsched)
     elif name == "eds":
         base = _parse_base(args.base) if args.base else None
-        out = mean_eds(s, gsched, base=base)
+        out = setmeans.mean_eds(s, gsched, base=base)
     elif name == "avg":
-        value = avg_set(s)
-        out = MeanOutcome("exact", value=float(value), exact=value)
+        value = setmeans.avg_set(s)
+        out = setmeans.MeanOutcome("exact", value=float(value), exact=value)
     elif name == "hf":
-        _emit({"mean": "hf", **_meanset_doc(ms_hf(s))})
+        _emit({"mean": "hf", **_meanset_doc(setmeans.ms_hf(s))})
         return 0
     else:
         raise SetMeansError(f"unknown mean {name!r}")
@@ -151,10 +131,10 @@ def _parse_base(text: str):
 def _cmd_meanset(args) -> int:
     s = parse(args.set)
     fn = {
-        "a": meansets.ms_a,
-        "ces": meansets.ms_ces,
-        "as": meansets.ms_as,
-        "axs": meansets.ms_axs,
+        "a": setmeans.ms_a,
+        "ces": setmeans.ms_ces,
+        "as": setmeans.ms_as,
+        "axs": setmeans.ms_axs,
     }[args.which]
     _emit({"meanset": args.which, **_meanset_doc(fn(s))})
     return 0
@@ -164,11 +144,11 @@ def _cmd_topology(args) -> int:
     s = parse(args.set)
     op = args.op
     if op == "derived":
-        _emit({"op": op, "result": render(derived_set(s))})
+        _emit({"op": op, "result": render(setmeans.derived_set(s))})
     elif op == "closure":
-        _emit({"op": op, "result": render(closure(s))})
+        _emit({"op": op, "result": render(setmeans.closure(s))})
     elif op == "chain":
-        chain, terminated = acc_chain(s)
+        chain, terminated = setmeans.acc_chain(s)
         _emit(
             {
                 "op": op,
@@ -177,7 +157,7 @@ def _cmd_topology(args) -> int:
             }
         )
     elif op.startswith("limits:"):
-        lo, hi = ideal_limits(s, _ideal(op))
+        lo, hi = setmeans.ideal_limits(s, _ideal(op))
         _emit(
             {
                 "op": op,
@@ -189,11 +169,11 @@ def _cmd_topology(args) -> int:
         )
     elif op.startswith("split:"):
         y = rat(op.split(":", 1)[1])
-        below, above = split_at(s, y)
+        below, above = setmeans.split_at(s, y)
         _emit({"op": "split", "below": render(below), "above": render(above)})
     elif op.startswith("isolated:"):
         delta = rat(op.split(":", 1)[1])
-        pts = isolated_outside(s, delta)
+        pts = setmeans.isolated_outside(s, delta)
         _emit(
             {
                 "op": "isolated",
@@ -203,7 +183,7 @@ def _cmd_topology(args) -> int:
         )
     elif op.startswith("hausdorff:"):
         other = parse(op.split(":", 1)[1])
-        d = hausdorff_distance(s, other)
+        d = setmeans.hausdorff_distance(s, other)
         _emit({"op": "hausdorff", "distance": float(d), "distance_exact": _frac_str(d)})
     else:
         raise SetMeansError(f"unknown topology op {op!r}")
@@ -217,11 +197,11 @@ def _cmd_rearrange(args) -> int:
     if args.divergent:
         p = rat(args.p) if args.p else None
         q = rat(args.q) if args.q else None
-        stream = enumerate_divergent(s, p, q)
+        stream = setmeans.enumerate_divergent(s, p, q)
     else:
         if args.target is None:
             raise SetMeansError("rearrange needs --target or --divergent")
-        stream = enumerate_with_mean(s, rat(args.target))
+        stream = setmeans.enumerate_with_mean(s, rat(args.target))
     rows = stream.take(args.terms)
     if args.csv:
         sink = open(args.out, "w") if args.out else sys.stdout
@@ -253,13 +233,13 @@ def _cmd_check(args) -> int:
         results["bounds"] = lo <= hi
     if "derived-affine" in wanted:
         mapped = map_affine(s, 2, 1)
-        rhs = map_affine(derived_set(s), 2, 1)
-        results["derived-affine"] = derived_set(mapped) == rhs
+        rhs = map_affine(setmeans.derived_set(s), 2, 1)
+        results["derived-affine"] = setmeans.derived_set(mapped) == rhs
     if "split" in wanted:
         lo, hi, _, _ = bounds(s)
         y = (lo + hi) / 2
         try:
-            below, above = split_at(s, y)
+            below, above = setmeans.split_at(s, y)
             if not has_uncountable_leaf(s):
                 orig = set(enumerate_points(s, 200))
                 got = set(enumerate_points(below, 400)) | set(

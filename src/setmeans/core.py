@@ -10,9 +10,8 @@ interval union is used to report a mean-set, so `MeanSet` is the same type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroMeasure
@@ -36,24 +35,61 @@ def rat(value: RatLike, den: int | None = None) -> Rat:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Interval:
+_set = object.__setattr__  # how a Value's __init__ stores its fields
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass lists its fields
+    once, in `__slots__`, and stores them in `__init__` with `_set`.  Its
+    instances are equal only within one class, hash as their field tuple
+    (as a frozen dataclass does), and refuse assignment and deletion."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(n for n in vars(cls).get("__slots__", ()) if n != "__dict__")
+        if names:
+            get = attrgetter(*names)
+            cls._names = names
+            cls._fields = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Interval(Value):
     """A bounded interval with open/closed endpoint flags.
 
     lo <= hi always; a degenerate interval (lo == hi) must be closed on both
     sides, so it denotes a single point.
     """
 
-    lo: Rat
-    hi: Rat
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
+    def __init__(self, lo: Rat, hi: Rat, lo_open: bool = False, hi_open: bool = False):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        if lo == hi and (lo_open or hi_open):
             raise ValueError("degenerate interval must be closed on both sides")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "lo_open", lo_open)
+        _set(self, "hi_open", hi_open)
 
     @property
     def length(self) -> Rat:
@@ -110,8 +146,7 @@ def _hi_key(iv: Interval):
     return (iv.hi, not iv.hi_open)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(Value):
     """Normalized finite union of disjoint, non-mergeable intervals.
 
     Normal form is unique for a given point set: parts sorted by lo, pairwise
@@ -120,7 +155,10 @@ class IntervalUnion:
     type (alias `MeanSet`); a singleton is a degenerate closed part.
     """
 
-    parts: tuple[Interval, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Interval, ...]):
+        _set(self, "parts", parts)
 
     def __iter__(self):
         return iter(self.parts)

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import add, ne, sub
 
-from .core import _CHUNK, Interval, Rat, _merge_ranges, arithmetic_mean, avg_iu, rat
+from .core import _CHUNK, Interval, Rat, Value, _merge_ranges, _set, arithmetic_mean, avg_iu, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -63,15 +62,26 @@ from .topology import (
 # outcomes and schedules
 
 
-@dataclass(frozen=True)
-class MeanOutcome:
-    status: str  # 'exact' | 'converged' | 'divergent' | 'undefined'
-    value: float | None = None
-    exact: Rat | None = None
-    err_est: float | None = None
-    band: tuple[float, float] | None = None
-    reason: str | None = None
-    trace: tuple[tuple[float, float], ...] = ()
+class MeanOutcome(Value):
+    __slots__ = ("status", "value", "exact", "err_est", "band", "reason", "trace")
+
+    def __init__(
+        self,
+        status: str,  # 'exact' | 'converged' | 'divergent' | 'undefined'
+        value: float | None = None,
+        exact: Rat | None = None,
+        err_est: float | None = None,
+        band: tuple[float, float] | None = None,
+        reason: str | None = None,
+        trace: tuple[tuple[float, float], ...] = (),
+    ):
+        _set(self, "status", status)
+        _set(self, "value", value)
+        _set(self, "exact", exact)
+        _set(self, "err_est", err_est)
+        _set(self, "band", band)
+        _set(self, "reason", reason)
+        _set(self, "trace", trace)
 
     def ok(self) -> bool:
         return self.status in ("exact", "converged")
@@ -81,26 +91,34 @@ def exact_outcome(value: Rat) -> MeanOutcome:
     return MeanOutcome("exact", value=float(value), exact=Fraction(value))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Value):
     """Dyadic evaluation schedule: parameters 2^-k (delta) or 2^k (grid)."""
 
-    kind: str  # 'delta' | 'grid'
-    start_exp: int
-    end_exp: int
-    tol: float = 1e-4
-    stability_window: int = 3
-    early_stop: bool = True
+    __slots__ = ("kind", "start_exp", "end_exp", "tol", "stability_window", "early_stop")
 
-    def __post_init__(self):
-        if self.kind not in ("delta", "grid"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.end_exp - self.start_exp + 1 < self.stability_window:
+    def __init__(
+        self,
+        kind: str,  # 'delta' | 'grid'
+        start_exp: int,
+        end_exp: int,
+        tol: float = 1e-4,
+        stability_window: int = 3,
+        early_stop: bool = True,
+    ):
+        if kind not in ("delta", "grid"):
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        if end_exp - start_exp + 1 < stability_window:
             raise ValueError("schedule shorter than its stability window")
-        if self.tol <= 0:
+        if tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.stability_window < 2:
+        if stability_window < 2:
             raise ValueError("stability window must be >= 2")
+        _set(self, "kind", kind)
+        _set(self, "start_exp", start_exp)
+        _set(self, "end_exp", end_exp)
+        _set(self, "tol", tol)
+        _set(self, "stability_window", stability_window)
+        _set(self, "early_stop", early_stop)
 
     def exponents(self):
         return range(self.start_exp, self.end_exp + 1)
@@ -247,12 +265,17 @@ def mean_ideal_chain(s: SetExpr, chain=DEFAULT_CHAIN) -> MeanOutcome:
     The ideals are nested, so climbing down from the largest, the first
     level whose `ideal_limits` does not raise `InIdeal` is that level.
     """
-    if is_empty_expr(s):
-        raise UndefinedMean("empty set")
     chain = tuple(chain)
+    if not chain:
+        raise ValueError("ideal chain must not be empty")
+    for ideal in chain:
+        if not isinstance(ideal, Ideal):
+            raise ValueError(f"ideal chain member {ideal!r} is not an Ideal")
     order = list(Ideal)
     if any(order.index(a) >= order.index(b) for a, b in zip(chain, chain[1:])):
         raise ValueError("ideal chain must be strictly increasing")
+    if is_empty_expr(s):
+        raise UndefinedMean("empty set")
     if not is_infinite(s):
         return exact_outcome(arithmetic_mean(_finite_points(s)))
     for ideal in reversed(chain):
@@ -486,8 +509,7 @@ def lavg(s: SetExpr, sched: Schedule | None = None) -> MeanOutcome:
 # evenly-distributed-sample mean
 
 
-@dataclass(frozen=True, eq=False)
-class CellCover:
+class CellCover(Value):
     """Occupied cells of a uniform left-closed grid over [a, b): merged
     inclusive spans of cells, plus the single cells of resolved points
     outside every span.  The single cells are not stored: each of `runs`
@@ -496,10 +518,13 @@ class CellCover:
     the runs and drops repeated cells and the cells a span holds.  Two
     covers are equal when their n, base, spans and single cells are."""
 
-    n: int
-    base: tuple[Rat, Rat]
-    spans: tuple[tuple[int, int], ...]  # inclusive index ranges, merged
-    runs: tuple  # callables, each returning one run's ascending chunks
+    __slots__ = ("n", "base", "spans", "runs", "__dict__")  # __dict__ holds the cached properties
+
+    def __init__(self, n: int, base: tuple[Rat, Rat], spans: tuple, runs: tuple):
+        _set(self, "n", n)
+        _set(self, "base", base)
+        _set(self, "spans", spans)  # inclusive index ranges, merged
+        _set(self, "runs", runs)  # callables, each returning one run's ascending chunks
 
     def _key(self):
         return self.n, self.base, self.spans, self.cells
@@ -709,7 +734,6 @@ def mean_eds(
 # oscillating counterexample for the isolated-point mean
 
 
-@dataclass
 class OscillatingIsoSet:
     """Two-cluster construction whose isolated-point averages oscillate.
 
@@ -721,10 +745,13 @@ class OscillatingIsoSet:
     running average at alternating extremes and no limit exists.
     """
 
-    low_target: Fraction = Fraction(1, 4)
-    high_target: Fraction = Fraction(3, 4)
-    _counts: list[int] = field(default_factory=list)
-    _sums: list[Fraction] = field(default_factory=list)
+    __slots__ = ("low_target", "high_target", "_counts", "_sums")
+
+    def __init__(self, low_target=Fraction(1, 4), high_target=Fraction(3, 4)):
+        self.low_target = low_target
+        self.high_target = high_target
+        self._counts: list[int] = []
+        self._sums: list[Fraction] = []
 
     def _stage_shell(self, j: int) -> tuple[Fraction, Fraction]:
         lo = Fraction(1, 2 ** (j + 2))

@@ -23,7 +23,6 @@ folds "a/b" into a rational when the denominator is not itself a power base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SemanticError
@@ -42,10 +41,10 @@ from .core import Interval
 from .terms import DoubleGeoTerm, GeoTerm, PowTerm, term_fun
 
 
-@dataclass
 class ParseError(Exception):
-    position: int
-    message: str
+    def __init__(self, position: int, message: str):
+        self.position = position
+        self.message = message
 
     def __str__(self):
         return f"parse error at {self.position}: {self.message}"
@@ -54,11 +53,13 @@ class ParseError(Exception):
 _PUNCT = {"{", "}", "[", "]", "(", ")", ",", "*", "/", "^", "+", "-", "U"}
 
 
-@dataclass
 class _Tok:
-    kind: str  # 'int' | 'dec' | 'var' | punctuation literal
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # 'int' | 'dec' | 'var' | punctuation literal
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Tok]:

@@ -11,10 +11,9 @@ under union, affine maps, and the derived-set operation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat, rat
+from .core import Interval, Rat, Value, _set, rat
 from .errors import BudgetExceeded, SemanticError, Uncountable
 from .terms import (
     DoubleGeoTerm,
@@ -34,30 +33,31 @@ from .terms import (
 _PREFIX_CAP = 200_000
 
 
-class SetExpr:
+class SetExpr(Value):
     """Base class for set expression nodes; all nodes are immutable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Finite(SetExpr):
-    points: tuple[Rat, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[Rat, ...]):
+        if len(set(points)) != len(points):
             raise SemanticError("finite set literal has repeated points")
+        _set(self, "points", points)
 
 
-@dataclass(frozen=True)
 class Seq(SetExpr):
     """The point set {limit + tail(n) : n >= tail.start}."""
 
-    limit: Rat
-    tail: TermFun
+    __slots__ = ("limit", "tail")
+
+    def __init__(self, limit: Rat, tail: TermFun):
+        _set(self, "limit", limit)
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True)
 class Seq2(SetExpr):
     """The point set {limit + outer(n) + inner(k) : n, k}.
 
@@ -66,17 +66,21 @@ class Seq2(SetExpr):
     collapse in the set semantics.
     """
 
-    limit: Rat
-    outer: TermFun
-    inner: TermFun
+    __slots__ = ("limit", "outer", "inner")
+
+    def __init__(self, limit: Rat, outer: TermFun, inner: TermFun):
+        _set(self, "limit", limit)
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
 class IntervalSet(SetExpr):
-    iv: Interval
+    __slots__ = ("iv",)
+
+    def __init__(self, iv: Interval):
+        _set(self, "iv", iv)
 
 
-@dataclass(frozen=True)
 class Dense(SetExpr):
     """A fixed countable dense subset of (lo, hi) with measure zero.
 
@@ -85,54 +89,52 @@ class Dense(SetExpr):
     realization is observable only through membership and enumeration.
     """
 
-    lo: Rat
-    hi: Rat
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
+    def __init__(self, lo: Rat, hi: Rat):
+        if lo >= hi:
             raise SemanticError("dense filler needs a nondegenerate interval")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-def _invertible_map(node) -> None:
+def _set_invertible_map(node, alpha, beta) -> None:
     """Store a node's map as exact rationals; refuse alpha == 0."""
-    if node.alpha == 0:
+    alpha = rat(alpha)
+    if alpha == 0:
         raise SemanticError("affine map must be invertible (alpha != 0)")
-    object.__setattr__(node, "alpha", rat(node.alpha))
-    object.__setattr__(node, "beta", rat(node.beta))
+    _set(node, "alpha", alpha)
+    _set(node, "beta", rat(beta))
 
 
-@dataclass(frozen=True)
 class Cantor(SetExpr):
     """The image alpha * C + beta of the middle-thirds Cantor set C in
     [0, 1]; Cantor() is C itself."""
 
-    alpha: Rat = Fraction(1)
-    beta: Rat = Fraction(0)
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        _invertible_map(self)
+    def __init__(self, alpha: Rat = Fraction(1), beta: Rat = Fraction(0)):
+        _set_invertible_map(self, alpha, beta)
 
 
-@dataclass(frozen=True)
 class Affine(SetExpr):
     """The image {alpha * x + beta : x in inner}: an input node, which
     map_affine pushes into the leaves of the canonical tree."""
 
-    alpha: Rat
-    beta: Rat
-    inner: SetExpr
+    __slots__ = ("alpha", "beta", "inner")
 
-    def __post_init__(self):
-        _invertible_map(self)
+    def __init__(self, alpha: Rat, beta: Rat, inner: SetExpr):
+        _set_invertible_map(self, alpha, beta)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
 class Union(SetExpr):
-    parts: tuple[SetExpr, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[SetExpr, ...]):
+        if not parts:
             raise SemanticError("union needs at least one part")
+        _set(self, "parts", parts)
 
 
 def finite(*points) -> Finite:

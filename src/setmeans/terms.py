@@ -27,11 +27,10 @@ shrink a radius or refine a grid take its resolved indices and its hull.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Interval, Rat
+from .core import Interval, Rat, Value, _set
 from .errors import SemanticError
 
 # A term is evaluated exactly while its exponent cost stays below this many
@@ -42,43 +41,43 @@ BOUND_CAP = 4096
 _SEARCH_CAP = 1 << 44
 
 
-@dataclass(frozen=True)
-class PowTerm:
-    c: Rat
-    p: int
+class PowTerm(Value):
+    __slots__ = ("c", "p")
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, c: Rat, p: int):
+        if c == 0:
             raise SemanticError("zero coefficient in power term")
-        if not (1 <= self.p <= 1000):
-            raise SemanticError(f"power exponent out of range: {self.p}")
+        if not (1 <= p <= 1000):
+            raise SemanticError(f"power exponent out of range: {p}")
+        _set(self, "c", c)
+        _set(self, "p", p)
 
 
-@dataclass(frozen=True)
-class GeoTerm:
-    c: Rat
-    r: Rat
+class GeoTerm(Value):
+    __slots__ = ("c", "r")
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, c: Rat, r: Rat):
+        if c == 0:
             raise SemanticError("zero coefficient in geometric term")
-        if not (0 < self.r < 1):
-            raise SemanticError(f"geometric ratio must be in (0,1): {self.r}")
+        if not (0 < r < 1):
+            raise SemanticError(f"geometric ratio must be in (0,1): {r}")
+        _set(self, "c", c)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class DoubleGeoTerm:
-    c: Rat
-    r: Rat
-    s: int
+class DoubleGeoTerm(Value):
+    __slots__ = ("c", "r", "s")
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, c: Rat, r: Rat, s: int):
+        if c == 0:
             raise SemanticError("zero coefficient in double-geometric term")
-        if not (0 < self.r < 1):
-            raise SemanticError(f"ratio must be in (0,1): {self.r}")
-        if not (2 <= self.s <= 64):
-            raise SemanticError(f"inner base out of range: {self.s}")
+        if not (0 < r < 1):
+            raise SemanticError(f"ratio must be in (0,1): {r}")
+        if not (2 <= s <= 64):
+            raise SemanticError(f"inner base out of range: {s}")
+        _set(self, "c", c)
+        _set(self, "r", r)
+        _set(self, "s", s)
 
 
 Term = PowTerm | GeoTerm | DoubleGeoTerm
@@ -122,16 +121,16 @@ def _merge_terms(terms) -> tuple[Term, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TermFun:
-    terms: tuple[Term, ...]
-    start: int = 1
+class TermFun(Value):
+    __slots__ = ("terms", "start")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[Term, ...], start: int = 1):
+        if not terms:
             raise SemanticError("term function must keep at least one term")
-        if self.start < 1:
+        if start < 1:
             raise SemanticError("start index must be >= 1")
+        _set(self, "terms", terms)
+        _set(self, "start", start)
 
 
 def term_fun(terms, start: int = 1) -> TermFun:
@@ -271,14 +270,17 @@ def _term_value_float(t: Term, n: int) -> float:
     return float(t.c) * 2.0**mag
 
 
-@dataclass(frozen=True)
-class TinyTerm:
-    """A term too deep to materialize, with a certified magnitude bound."""
+class TinyTerm(Value):
+    """A term too deep to materialize, with a certified magnitude bound:
+    |value| <= bound, and value != 0 with sign(value) = sign(c)."""
 
-    c: Rat
-    r: Rat
-    exponent: int
-    bound: Rat  # |value| <= bound, and value != 0 with sign(value) = sign(c)
+    __slots__ = ("c", "r", "exponent", "bound")
+
+    def __init__(self, c: Rat, r: Rat, exponent: int, bound: Rat):
+        _set(self, "c", c)
+        _set(self, "r", r)
+        _set(self, "exponent", exponent)
+        _set(self, "bound", bound)
 
 
 def tf_value_parts(tf: TermFun, n: int) -> tuple[Fraction, tuple[TinyTerm, ...]]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Interval, Rat, _merge_ranges, iu_normalize, rat
+from .core import Interval, Rat, Value, _merge_ranges, _set, iu_normalize, rat
 from .errors import (
     BudgetExceeded,
     InIdeal,
@@ -349,26 +348,29 @@ def _split_seq2(s: Seq2, y: Rat) -> tuple[SetExpr, SetExpr]:
 # accumulation structure with sidedness
 
 
-@dataclass(frozen=True)
-class AccPoint:
-    value: Rat
-    left_sided: bool
-    right_sided: bool
+class AccPoint(Value):
+    __slots__ = ("value", "left_sided", "right_sided")
 
-    def __post_init__(self):
-        if not (self.left_sided or self.right_sided):
+    def __init__(self, value: Rat, left_sided: bool, right_sided: bool):
+        if not (left_sided or right_sided):
             raise SemanticError("accumulation point needs a side")
+        _set(self, "value", value)
+        _set(self, "left_sided", left_sided)
+        _set(self, "right_sided", right_sided)
 
 
-@dataclass
 class AccFamily:
-    """A monotone tail {limit + tf(n) : n >= start} of accumulation points."""
+    """A monotone tail {limit + tf(n) : n >= start} of accumulation points;
+    the sides are those of the family's points as accumulation points of H."""
 
-    limit: Rat
-    tf: TermFun
-    start: int
-    left_sided: bool  # sidedness of the family's points as acc points of H
-    right_sided: bool
+    __slots__ = ("limit", "tf", "start", "left_sided", "right_sided")
+
+    def __init__(self, limit: Rat, tf: TermFun, start: int, left_sided: bool, right_sided: bool):
+        self.limit = limit
+        self.tf = tf
+        self.start = start
+        self.left_sided = left_sided
+        self.right_sided = right_sided
 
     def value(self, n: int) -> Rat:
         return self.limit + tf_value(self.tf, n)
@@ -378,10 +380,12 @@ class AccFamily:
         return (min(self.limit, v), max(self.limit, v))
 
 
-@dataclass
 class AccStructure:
-    anchors: list[AccPoint]  # sorted by value, distinct values
-    families: list[AccFamily]  # disjoint open ranges, limits are anchors
+    __slots__ = ("anchors", "families")
+
+    def __init__(self, anchors: list[AccPoint], families: list[AccFamily]):
+        self.anchors = anchors  # sorted by value, distinct values
+        self.families = families  # disjoint open ranges, limits are anchors
 
     # a family's limit is an anchor, so of its values only the first, at
     # its far end, can be an extreme of H'

@@ -201,3 +201,50 @@ def test_divergent_exit_code():
         "eval", "iso", "{0,1} U {1/n} U {1 + 1/2^n}", "--tol", "1e-3"
     )
     assert code == 0  # this one converges; divergence exercised in-library
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The setmeans submodules, and `dataclasses`, that a fresh interpreter
+    has loaded after running `code`."""
+    report = (
+        "import sys\n"
+        "print(' '.join(m for m in sys.modules"
+        " if m.startswith('setmeans.') or m == 'dataclasses'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + report], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import setmeans") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["topology", "derived", "{1/n}"], {"means", "cesaro", "meansets"}),
+        (["meanset", "a", "{1/n}"], {"means", "cesaro"}),
+        (["eval", "lis", "{1/n}"], {"cesaro", "meansets"}),
+    ],
+)
+def test_a_command_loads_only_its_modules(argv, unloaded):
+    loaded = _loaded_after(f"from setmeans import cli\ncli.main({argv!r})")
+    assert "setmeans.parser" in loaded and "dataclasses" not in loaded
+    assert not loaded & {f"setmeans.{name}" for name in unloaded}
+
+
+def test_every_lazy_name_resolves_to_its_module():
+    import importlib
+
+    import setmeans
+
+    for name, module in setmeans._LAZY.items():
+        mod = importlib.import_module(f"setmeans.{module}")
+        assert name in vars(mod) and getattr(setmeans, name) is vars(mod)[name]
+        assert getattr(setmeans, module) is mod
+    assert set(setmeans.__all__) == set(setmeans._LAZY) <= set(dir(setmeans))
+    with pytest.raises(AttributeError):
+        getattr(setmeans, "no_such_name")

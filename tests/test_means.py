@@ -56,6 +56,15 @@ def test_mean_ideal_chain():
         mean_ideal_chain(parse("{1/n}"), (Ideal.COUNTABLE_SETS, Ideal.NULL_SETS))
     with pytest.raises(ValueError):
         mean_ideal_chain(parse("{1/n}"), (Ideal.COUNTABLE_SETS, Ideal.FINITE_SETS))
+    # an empty or malformed chain is refused before the set is read, on a
+    # finite, an infinite and an empty set alike
+    for text in ("{0, 1}", "{1/n}", "{}"):
+        with pytest.raises(ValueError, match="must not be empty"):
+            mean_ideal_chain(parse(text), ())
+        with pytest.raises(ValueError, match="'x' is not an Ideal"):
+            mean_ideal_chain(parse(text), (Ideal.FINITE_SETS, "x"))
+        with pytest.raises(ValueError, match="is not an Ideal"):
+            mean_ideal_chain(parse(text), ("finite",))
 
 
 def test_mean_acc():

@@ -3,7 +3,6 @@
 import heapq
 import tracemalloc
 from bisect import bisect_left
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
 from random import Random
@@ -13,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from setmeans import (
     BudgetExceeded,
+    CellCover,
     Cantor,
     Dense,
     Interval,
@@ -775,9 +775,9 @@ def test_cell_cover_compares_by_value(monkeypatch, text, k):
         for two in covers:
             assert one == two and hash(one) == hash(two)
         free = max(one.cells[-1], one.spans[-1][1]) + 2  # in no span, no cell
-        extra = replace(one, runs=(*one.runs, lambda: iter([[free]])))
+        extra = CellCover(one.n, one.base, one.spans, (*one.runs, lambda: iter([[free]])))
         assert len(extra.cells) == len(one.cells) + 1 and extra != one
-        assert replace(one, n=one.n + 1) != one
+        assert CellCover(one.n + 1, one.base, one.spans, one.runs) != one
 
 
 def _peak_bytes(call):
