@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .core import Interval, Rat, Value, _set
-from .errors import SemanticError
+from .errors import BudgetExceeded, SemanticError
 
 # A term is evaluated exactly while its exponent cost stays below this many
 # bits; beyond that it is tracked symbolically with a bound of r^BOUND_CAP.
@@ -39,6 +39,7 @@ TRACK_BITS = 16384
 BOUND_CAP = 4096
 
 _SEARCH_CAP = 1 << 44
+_ONE = Fraction(1)
 
 
 class PowTerm(Value):
@@ -181,40 +182,82 @@ def _log2_rat(x: Fraction) -> float:
     return lr
 
 
+def _log2_bracket(x: Fraction, k: int) -> tuple[int, int]:
+    """Integers lo <= 2^k * log2(x) <= hi for a rational x > 0.
+
+    The integer part comes from bit lengths.  Each of the k fraction bits
+    comes from squaring the mantissa y in [1, 2) in fixed point with guard
+    bits, rounded down on the lower track and up on the upper one: the lower
+    track keeps x^(2^i) >= 2^b * y and the upper one x^(2^i) <= 2^b * y."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    if n << max(-e, 0) < d << max(e, 0):
+        e -= 1
+    g = k + 16
+    shift = g - e
+    y_lo, rem = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
+    bounds = []
+    for y, up in ((y_lo, False), (y_lo + (rem > 0), True)):
+        b = e
+        for _ in range(k):
+            y *= y
+            b *= 2
+            s = g
+            if y >> (2 * g + 1):
+                b += 1
+                s += 1
+            y = -(-y >> s) if up else y >> s
+        bounds.append(b + (up and y > 1 << g))
+    return bounds[0], bounds[1]
+
+
+# Fraction bits of the log brackets, tried in turn until the two sides of a
+# comparison separate (exact real arithmetic after Boehm, Cartwright, Riggle
+# and O'Donnell, 1986).
+_BRACKET_BITS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def _cmp_scaled_pows(c1: Fraction, r1: Fraction, e1: int, c2: Fraction, r2: Fraction, e2: int) -> int:
+    """Exact sign of c1*r1^e1 - c2*r2^e2 for rationals c, r > 0 and ints e >= 0.
+
+    Powers of at most TRACK_BITS bits are compared as integers.  Deeper ones
+    compare integer brackets of the logarithms, refined until they separate
+    or until a finer bracket would cost more than the powers themselves (k
+    fraction bits cost about as much as k^2 bits of power).  Sides that stay
+    together are built up to 2^24 bits; beyond that BudgetExceeded is raised."""
+    if r1 == r2:
+        m = min(e1, e2)
+        e1, e2 = e1 - m, e2 - m
+    cost = e1 * (r1.numerator.bit_length() + r1.denominator.bit_length()) + e2 * (
+        r2.numerator.bit_length() + r2.denominator.bit_length()
+    )
+    if cost > TRACK_BITS:
+        c = c1 / c2
+        for k in _BRACKET_BITS:
+            if k * k > cost:
+                break  # a bracket this fine costs more than the exact integers
+            (c_lo, c_hi), (lo1, hi1), (lo2, hi2) = (_log2_bracket(x, k) for x in (c, r1, r2))
+            if c_lo + e1 * lo1 - e2 * hi2 > 0:
+                return 1
+            if c_hi + e1 * hi1 - e2 * lo2 < 0:
+                return -1
+        if cost > 1 << 24:
+            raise BudgetExceeded(
+                f"comparing powers of {r1} and {r2} with exponents of {e1.bit_length()} "
+                f"and {e2.bit_length()} bits exceeds the exact budget"
+            )
+    lhs = c1.numerator * c2.denominator * r1.numerator**e1 * r2.denominator**e2
+    rhs = c2.numerator * c1.denominator * r2.numerator**e2 * r1.denominator**e1
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def cmp_pow_frac(r: Fraction, e: int, q: Fraction) -> int:
     """Sign of r**e - q for 0 < r < 1, e >= 1, without building r**e blindly."""
     if q <= 0:
         return 1
     if q >= 1:
         return -1  # 0 < r**e < 1 <= q
-    a, b = r.numerator, r.denominator
-    c, d = q.numerator, q.denominator
-    cost = e * (a.bit_length() + b.bit_length())
-    if cost <= TRACK_BITS:
-        lhs = a**e * d
-        rhs = c * b**e
-        return (lhs > rhs) - (lhs < rhs)
-    # log-domain comparison with a certified margin
-    if e < (1 << 50):
-        log_r = math.log1p((a - b) / b) / math.log(2) if abs(a - b) * 8 < b else _log2_rat(r)
-        lhs_f = e * log_r
-        rhs_f = _log2_rat(q)
-        err = 1e-12 * (abs(lhs_f) + abs(rhs_f) + e * 1e-4 + 4)
-        if lhs_f > rhs_f + err:
-            return 1
-        if lhs_f < rhs_f - err:
-            return -1
-        if cost <= (1 << 24):
-            lhs = a**e * d
-            rhs = c * b**e
-            return (lhs > rhs) - (lhs < rhs)
-        raise ArithmeticError("power comparison needs escalation beyond budget")
-    # e is astronomically large: r**e sits below any q of moderate size.
-    qbits = c.bit_length() + d.bit_length() + 4
-    gap = Fraction(b - a, b)  # log2(1/r) >= 1 - r = gap
-    if e * gap > 2 * qbits + 8:
-        return -1
-    raise ArithmeticError("power comparison needs escalation beyond budget")
+    return _cmp_scaled_pows(_ONE, r, e, q, _ONE, 0)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +384,7 @@ def parts_cmp(main: Fraction, tinies, q: Fraction) -> int:
         if target <= 0:
             return 1 if t.c > 0 else -1
         return cmp_pow_frac(t.r, t.exponent, target) * (1 if t.c > 0 else -1)
-    raise ArithmeticError("ambiguous comparison with multiple tiny tails")
+    raise BudgetExceeded("ambiguous comparison with multiple tiny tails")
 
 
 def tiny_signature(tinies) -> tuple:
@@ -356,18 +399,17 @@ def tf_cmp(tf: TermFun, n: int, q: Fraction) -> int:
 
 
 def _tinies_sign(tinies) -> int:
-    if len(tinies) == 1:
-        return 1 if tinies[0].c > 0 else -1
-    # the dominant tiny decides; compare in log space with a safety margin
-    mags = sorted(
-        ((_log2_rat(abs(t.c)) + t.exponent * _log2_rat(t.r), t) for t in tinies),
-        key=lambda p: p[0],
-        reverse=True,
-    )
-    top_mag, top = mags[0]
-    if top_mag > mags[1][0] + 2 + math.log2(len(tinies)):
+    signs = {1 if t.c > 0 else -1 for t in tinies}
+    if len(signs) == 1:
+        return signs.pop()
+    # mixed signs: the largest tiny decides once it outweighs all the others
+    def cmp(a, b, k=1):
+        return _cmp_scaled_pows(abs(a.c), a.r, a.exponent, k * abs(b.c), b.r, b.exponent)
+
+    top, second = sorted(tinies, key=cmp_to_key(cmp), reverse=True)[:2]
+    if cmp(top, second, len(tinies) - 1) > 0:
         return 1 if top.c > 0 else -1
-    raise ArithmeticError("ambiguous sign of stacked tiny tails")
+    raise BudgetExceeded("ambiguous sign of stacked tiny tails")
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +428,7 @@ def first_index(pred, lo: int, cap: int = _SEARCH_CAP) -> int | None:
     """Least n >= lo with pred(n), for a pred that stays true once true.
 
     Probes max(lo, 1) and its doublings until pred holds, then bisects the
-    last doubling; None once a probe passes cap.  Certificate tests that are
-    upward-closed only up to a float margin depend on this probe order, so
-    changing it can move their indices.
+    last doubling; None once a probe passes cap.
     """
     n = max(lo, 1)
     while not pred(n):
@@ -446,82 +486,37 @@ def _ratio_persistent_index(dom: Term, oth: Term) -> int:
     assert isinstance(oth, DoubleGeoTerm)
     if oth.s == dom.s:
         return 1  # ratio r2^(s^n)/r1^(s^n) with r2 < r1: decreasing
-    ld = -_log2_rat(dom.r)
-    lo = -_log2_rat(oth.r)
 
     def ok(n):
-        # oth's log-decay per step must outrun dom's from n on
-        return (oth.s**n) * (oth.s - 1) * lo >= (dom.s**n) * (dom.s - 1) * ld * 1.0001
+        # oth's decay per step must outrun dom's from n on; as oth.s > dom.s,
+        # r2^(s2^n (s2-1)) <= r1^(s1^n (s1-1)) stays true for larger n
+        gap_o, gap_d = oth.s**n * (oth.s - 1), dom.s**n * (dom.s - 1)
+        return _cmp_scaled_pows(_ONE, oth.r, gap_o, _ONE, dom.r, gap_d) <= 0
 
     return _certified(first_index(ok, 1))
 
 
-def _val_ratio_le(dom: Term, oth: Term, n: int, q: Fraction) -> bool:
-    """|oth(n)| <= q * |dom(n)|, exactly, without materializing deep powers."""
+def _controls(dom: Term, oth: Term, n: int, q: Fraction) -> bool:
+    """|oth(n)| <= q * |dom(n)|, and oth's upper bound on |oth(n) - oth(n+1)|
+    is at most q times dom's lower bound on |dom(n) - dom(n+1)|: exactly, and
+    without building a deep power.  A geometric term's value and gap bounds
+    are c * r^e(n) and c' * r^e(n), so the larger coefficient decides both."""
     cd, co = abs(dom.c), abs(oth.c)
-    if isinstance(dom, PowTerm):
-        dom_val_inv = Fraction(n**dom.p) / cd  # 1/|dom(n)|
-        if isinstance(oth, PowTerm):
-            return co * Fraction(n**dom.p) <= q * cd * Fraction(n**oth.p)
-        target = q / (co * dom_val_inv)
-        return cmp_pow_frac(oth.r, _term_exponent(oth, n), target) <= 0
     if isinstance(oth, PowTerm):
-        return False  # a power term can never be dominated-small vs geo
-    ed, eo = _term_exponent(dom, n), _term_exponent(oth, n)
-    # co * ro^eo <= q * cd * rd^ed
-    if oth.r == dom.r and isinstance(dom, (GeoTerm, DoubleGeoTerm)):
-        if eo >= ed:
-            return co * _safe_ratio_pow(oth.r, eo - ed) <= q * cd
-    lhs = _log2_rat(co) + eo * _log2_rat(oth.r)
-    rhs = _log2_rat(q * cd) + ed * _log2_rat(dom.r)
-    err = 1e-9 * (abs(lhs) + abs(rhs) + 8)
-    if lhs < rhs - err:
-        return True
-    if lhs > rhs + err:
-        return False
-    if _term_cost_bits(oth, n) <= TRACK_BITS and _term_cost_bits(dom, n) <= TRACK_BITS:
-        return abs(_term_value(oth, n)) <= q * abs(_term_value(dom, n))
-    raise ArithmeticError("ratio comparison needs escalation beyond budget")
-
-
-def _safe_ratio_pow(r: Fraction, e: int) -> Fraction:
-    if e * (r.numerator.bit_length() + r.denominator.bit_length()) > TRACK_BITS:
-        return Fraction(0)  # vanishingly small; any upper use stays valid
-    return _pow_cached(r, e)
-
-
-def _dval_lo(t: Term, n: int) -> Fraction:
-    """Lower bound on |t(n) - t(n+1)| at the specific index n."""
-    if isinstance(t, PowTerm):
-        return abs(t.c) * t.p / Fraction((n + 1) ** (t.p + 1))
-    if isinstance(t, GeoTerm):
-        return abs(t.c) * (1 - t.r) * _pow_cached(t.r, n)
-    e = t.s**n
-    if e * 4 > TRACK_BITS:
-        return Fraction(0)
-    return abs(t.c) * (1 - t.r ** (t.s - 1)) * _pow_cached(t.r, e)
-
-
-def _dratio_le(dom: Term, oth: Term, n: int, q: Fraction) -> bool:
-    """Difference-envelope ratio test: oth's gap bound <= q * _dval_lo(dom, n)."""
-    cd, co = abs(dom.c), abs(oth.c)
+        # a power term is never small beside a geometric one
+        return isinstance(dom, PowTerm) and (
+            co * n**dom.p <= q * cd * n**oth.p
+            and co * oth.p * (n + 1) ** (dom.p + 1) <= q * cd * dom.p * n ** (oth.p + 1)
+        )
+    gap_o = co if isinstance(oth, DoubleGeoTerm) else co * (1 - oth.r)
+    eo = _term_exponent(oth, n)
     if isinstance(dom, PowTerm):
-        lo_inv = Fraction((n + 1) ** (dom.p + 1)) / (cd * dom.p)
-        if isinstance(oth, PowTerm):
-            return co * oth.p * Fraction((n + 1) ** (dom.p + 1)) <= q * cd * dom.p * Fraction(
-                n ** (oth.p + 1)
-            )
-        scale = co if isinstance(oth, DoubleGeoTerm) else co * (1 - oth.r)
-        target = q / (scale * lo_inv)
-        return cmp_pow_frac(oth.r, _term_exponent(oth, n), target) <= 0
-    if isinstance(oth, PowTerm):
-        return False
-    lo_d = _dval_lo(dom, n)
-    if lo_d == 0:
-        raise ArithmeticError("difference envelope vanished below budget")
-    scale = co if isinstance(oth, DoubleGeoTerm) else co * (1 - oth.r)
-    target = q * lo_d / scale
-    return cmp_pow_frac(oth.r, _term_exponent(oth, n), target) <= 0
+        target = min(q * cd / (co * n**dom.p), q * cd * dom.p / (gap_o * (n + 1) ** (dom.p + 1)))
+        return cmp_pow_frac(oth.r, eo, target) <= 0
+    # dom's gap is at least c (1 - r) r^n, or c (1 - r^(s-1)) r^(s^n)
+    gap_d = cd * (1 - (dom.r if isinstance(dom, GeoTerm) else dom.r ** (dom.s - 1)))
+    c = max(Fraction(co, cd), gap_o / gap_d)
+    return _cmp_scaled_pows(c, oth.r, eo, q, dom.r, _term_exponent(dom, n)) <= 0
 
 
 @lru_cache(maxsize=None)
@@ -537,9 +532,7 @@ def tf_monotone_index(tf: TermFun) -> int:
     q = Fraction(1, 2 * k)
 
     def ok(n):
-        return all(
-            _val_ratio_le(dom, o, n, q) and _dratio_le(dom, o, n, q) for o in others
-        )
+        return all(_controls(dom, o, n, q) for o in others)
 
     return _certified(first_index(ok, base))
 

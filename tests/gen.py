@@ -5,6 +5,7 @@ from random import Random
 
 from setmeans import (
     Affine,
+    BudgetExceeded,
     Cantor,
     Dense,
     DoubleGeoTerm,
@@ -49,7 +50,7 @@ def random_termfun(rng: Random, sign=None, max_terms=2, allow_dgeo=True):
             n_terms = rng.randint(1, max_terms)
             terms = [random_term(rng, sign, allow_dgeo) for _ in range(n_terms)]
             return term_fun(terms, start=rng.choice([1, 1, 1, 2, 3]))
-        except (SemanticError, ArithmeticError):
+        except (SemanticError, BudgetExceeded):
             continue
     return term_fun([PowTerm(Fraction(1), 1)])
 
@@ -60,7 +61,7 @@ def random_seq(rng: Random, sign=None, allow_dgeo=False):
     for _ in range(50):
         try:
             return seq(random_rat(rng), random_termfun(rng, sign, allow_dgeo=allow_dgeo))
-        except (SemanticError, ArithmeticError):
+        except (SemanticError, BudgetExceeded):
             continue
     return seq(Fraction(0), term_fun([PowTerm(Fraction(1), 1)]))
 
@@ -74,7 +75,7 @@ def random_seq2(rng: Random):
                 random_termfun(rng, sign, max_terms=1, allow_dgeo=False),
                 random_termfun(rng, sign, max_terms=1, allow_dgeo=False),
             )
-        except (SemanticError, ArithmeticError):
+        except (SemanticError, BudgetExceeded):
             continue
     return seq2(
         Fraction(1),

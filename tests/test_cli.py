@@ -72,6 +72,17 @@ def test_zero_denominator_and_empty_operand(argv, code, capsys):
     assert doc["reason"]
 
 
+def test_undecided_tiny_comparison_exits_3():
+    # the split point sits among two symbolic tails that the comparison of
+    # tinies cannot order: a domain error in JSON, not a traceback
+    code, out = run_cli("topology", f"split:1/{2**6000}", "{1/2^n + 1/3^n}")
+    assert code == 3
+    assert json.loads(out) == {
+        "reason": "ambiguous comparison with multiple tiny tails",
+        "status": "undefined",
+    }
+
+
 @pytest.mark.parametrize(
     "argv", [["eval", "ideal:bogus", "{1/n}"], ["topology", "limits:bogus", "{1/n}"]]
 )

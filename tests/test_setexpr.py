@@ -8,6 +8,7 @@ import pytest
 
 from setmeans import (
     Affine,
+    BudgetExceeded,
     Cantor,
     Dense,
     Finite,
@@ -186,3 +187,11 @@ def GeoTerm_like():
     from setmeans import GeoTerm
 
     return GeoTerm(F(-2), F(1, 2))  # 1/n - 2/2^n vanishes at n = 1
+
+
+def test_stacked_tiny_tails_are_a_budget_error():
+    # from n = 6000 on both terms are symbolic tinies, and their sum against
+    # a value next to it is left undecided: a domain error, not an
+    # ArithmeticError
+    with pytest.raises(BudgetExceeded, match="multiple tiny tails"):
+        contains_point(parse("{1/2^n + 1/3^n}"), F(1, 2**6000))

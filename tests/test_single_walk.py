@@ -25,6 +25,12 @@ the nearest points of a closure in `topology._nearest`, which is the one
 distance rule of `hausdorff_distance`; the per-pair helpers it replaced
 stay gone.
 
+Three more keep one exact comparison of scaled powers in `terms`: the
+float `_log2_rat` serves only the float value `_term_value_float`, the
+integer log bracket serves only the comparison `_cmp_scaled_pows`, and no
+function raises `ArithmeticError`, so an undecided comparison is a
+`BudgetExceeded` that the CLI answers in JSON.
+
 The last fails when a function body imports from the package: `terms`
 imports only `core` and `errors`, so no such import breaks a cycle.
 """
@@ -158,6 +164,24 @@ def test_one_nearest_point_rule():
     ]
     gone = {"_in_ideal", "_closure_profile", "_dist_point_cantor"}
     assert not [fn.name for _, fn in _functions() if fn.name in gone]
+
+
+def test_one_scaled_power_comparison():
+    assert _callers("_log2_rat") == [("terms", "_term_value_float")]
+    assert _callers("_log2_bracket") == [("terms", "_cmp_scaled_pows")]
+
+
+def _raises(fn, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Raise)
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+        for node in ast.walk(fn)
+    )
+
+
+def test_no_arithmetic_error_raised():
+    found = sorted({(mod, fn.name) for mod, fn in _functions() if _raises(fn, "ArithmeticError")})
+    assert found == [], found
 
 
 def test_no_function_local_package_imports():

@@ -8,12 +8,25 @@ from random import Random
 
 import pytest
 
-from setmeans import DoubleGeoTerm, GeoTerm, PowTerm, SemanticError, term_fun
+from setmeans import (
+    BudgetExceeded,
+    DoubleGeoTerm,
+    GeoTerm,
+    PowTerm,
+    SemanticError,
+    parse,
+    term_fun,
+    terms,
+)
 from setmeans.terms import (
+    TinyTerm,
+    _cmp_scaled_pows,
     _gap_bound_lt,
+    _log2_bracket,
     _log2_rat,
     _term_value_float,
     cmp_pow_frac,
+    parts_cmp,
     tf_abs_below_index,
     tf_abs_upper,
     tf_chain,
@@ -206,3 +219,132 @@ def test_double_geometric_ratio_next_to_one():
     assert _log2_rat(r) == pytest.approx(-(2.0**-60) / math.log(2), rel=1e-12)
     assert _term_value_float(DoubleGeoTerm(F(1), r, 2), 100) == 0.0
     assert _term_value_float(DoubleGeoTerm(F(1), r, 2), 50) == pytest.approx(math.exp(-(2.0**-10)))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _above_boundaries(k: int):
+    """The least x = X/2^64 with x^(2^k) > 2^j, for a few j: the lower
+    bracket track rounds each of them down to the boundary or below it, so
+    only an upper track that rounds up still covers them."""
+    for j in (-5, 1, 3, 2**k - 1, 2**k + 1):
+        root = 1 << (64 * 2**k + j)
+        for _ in range(k):
+            root = math.isqrt(root)  # nested floors give the 2^k-th root
+        yield F(root + 1, 2**64)
+
+
+def test_log2_bracket_holds_exact_powers():
+    """2^lo <= x^(2^k) <= 2^hi, with hi - lo <= 2, for k <= 10."""
+    rng = Random(37)
+    xs = [F(2**60 - 1, 2**60), F(2**60 + 1, 2**60), F(1), F(2), F(1, 3), F(2**200, 3)]
+    xs += [F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(30)]
+    for k in range(11):
+        for x in xs + list(_above_boundaries(k)):
+            lo, hi = _log2_bracket(x, k)
+            assert F(2) ** lo <= x ** (2**k) <= F(2) ** hi, (x, k, lo, hi)
+            assert hi - lo <= 2, (x, k, lo, hi)
+
+
+def test_scaled_power_comparison_matches_exact(monkeypatch):
+    """With TRACK_BITS at 64 every comparison below runs on log brackets,
+    and its sign equals the exact big-int one, for values equal or apart by
+    as little as a factor 1 + 2^-600."""
+    monkeypatch.setattr(terms, "TRACK_BITS", 64)
+    rng = Random(41)
+    ratios = [F(1, 2), F(1, 3), F(2, 3), F(5, 7), F(999, 1000), F(2**60 - 1, 2**60)]
+    for i in range(240):
+        r1, r2 = rng.choice(ratios), rng.choice(ratios)
+        e1, e2 = rng.randint(0, 2000), rng.randint(0, 2000)
+        c1 = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        c2 = c1 * r1**e1 / r2**e2
+        if i % 40:
+            c2 *= 1 + F(rng.choice([-1, 1]), 2 ** rng.choice([1, 20, 50, 200, 600]))
+        want = _sign(c1 * r1**e1 - c2 * r2**e2)
+        assert _cmp_scaled_pows(c1, r1, e1, c2, r2, e2) == want, (c1, r1, e1, c2, r2, e2)
+        if e1:
+            q = c2 * r2**e2 / c1
+            assert cmp_pow_frac(r1, e1, q) == _sign(r1**e1 - q)
+    # exponents far past any exact evaluation are still decided
+    assert _cmp_scaled_pows(F(10**9), F(1, 2), 2**70, F(1), F(1, 3), 2**69) == -1
+    assert cmp_pow_frac(F(2**60 - 1, 2**60), 2**100, F(1, 10**9)) == -1
+
+
+def _certificates(tf, targets):
+    out = [tf_monotone_index(tf)] + [tf_find_value(tf, v) for v in targets]
+    for k in (3, 12, 40):
+        out.append(tf_resolution_index(tf, F(1, 2**k)))
+        out.append(tf_abs_below_index(tf, F(1, 2**k)))
+    return out
+
+
+def test_certificates_match_exact_evaluation(monkeypatch):
+    """With TRACK_BITS at 64 and BOUND_CAP at 16 the certificates compare
+    log brackets and symbolic tinies where the defaults build exact
+    integers: every index and every found value stays the same.  Values are
+    looked up only in tails with at most one geometric term, as a sum of two
+    tinies is compared with a value only when its main part decides."""
+    rng = Random(43)
+    tfs = [random_termfun(rng) for _ in range(80)]
+    # ratios next to 1 push the indices, and the costs of the powers, up
+    near = F(999, 1000)
+    tfs += [
+        term_fun([GeoTerm(F(1), near), GeoTerm(F(-1), F(997, 1000))]),
+        term_fun([PowTerm(F(1), 3), GeoTerm(F(5), F(99, 100))]),
+        term_fun([GeoTerm(F(2), near), DoubleGeoTerm(F(-1), near, 2)]),
+        term_fun([DoubleGeoTerm(F(1), near, 2), DoubleGeoTerm(F(3), F(1, 2), 3)]),
+    ]
+    targets = []
+    for tf in tfs:
+        v = tf_value(tf, tf_monotone_index(tf) + rng.randint(0, 30))
+        one_geo = sum(not isinstance(t, PowTerm) for t in tf.terms) <= 1
+        targets.append((v, v * F(1001, 1000)) if one_geo else ())
+    want = [_certificates(tf, t) for tf, t in zip(tfs, targets)]
+    assert sum(w[1] is not None for w in want if len(w) > 7) > 20
+    tf_monotone_index.cache_clear()
+    monkeypatch.setattr(terms, "TRACK_BITS", 64)
+    monkeypatch.setattr(terms, "BOUND_CAP", 16)
+    try:
+        got = [_certificates(tf, t) for tf, t in zip(tfs, targets)]
+    finally:
+        tf_monotone_index.cache_clear()
+    assert got == want
+
+
+def test_tinies_of_one_sign_have_that_sign():
+    e, half, third = 2**20, F(1, 2), F(1, 3)
+
+    def tiny(c, r, exponent):
+        return TinyTerm(c, r, exponent, abs(c) * r**16)
+
+    cases = [
+        # one sign: no magnitude is compared, however close they sit
+        ((tiny(F(1), half, e), tiny(F(1), half, e + 1)), 1),
+        ((tiny(F(-1), half, e), tiny(F(-3), third, e), tiny(F(-1), half, e)), -1),
+        # mixed signs: the largest tiny outweighs all the others
+        ((tiny(F(1), half, e), tiny(F(-1), half, e + 2)), 1),
+        ((tiny(F(-3), third, e), tiny(F(1), half, e)), 1),
+        ((tiny(F(1), half, e + 2), tiny(F(-1), half, e), tiny(F(1), third, e)), -1),
+    ]
+    for tinies, sign in cases:
+        assert parts_cmp(F(0), tinies, F(0)) == sign, tinies
+    # 2^-e - 2^-(e+1) - 2^-(e+1) = 0: no tiny outweighs the others
+    zero = (tiny(F(1), half, e), tiny(F(-1), half, e + 1), tiny(F(-1), half, e + 1))
+    with pytest.raises(BudgetExceeded):
+        parts_cmp(F(0), zero, F(0))
+
+
+def test_no_certificate_builds_a_deep_power(monkeypatch):
+    # the monotone index of this tail is about 7 * 10^5; a certificate that
+    # built r^n on the way there took minutes and tens of megabytes
+    build = terms._pow_cached
+
+    def shallow(r, e):
+        assert e * (r.numerator.bit_length() + r.denominator.bit_length()) <= 2**20, (r, e)
+        return build(r, e)
+
+    monkeypatch.setattr(terms, "_pow_cached", shallow)
+    with pytest.raises(SemanticError, match="prefix before the monotone tail"):
+        parse("{(999999/1000000)^n + (999998/1000000)^n}")
