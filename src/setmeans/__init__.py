@@ -37,8 +37,8 @@ _LAZY = {
     **dict.fromkeys(("DoubleGeoTerm", "GeoTerm", "PowTerm", "TermFun", "term_fun"), "terms"),
     **dict.fromkeys(
         (
-            "Affine", "Cantor", "Dense", "Finite", "IntervalSet", "Seq", "Seq2", "SetExpr",
-            "Union", "bounds", "contains_point", "enumerate_points", "finite",
+            "Cantor", "Dense", "Finite", "IntervalSet", "Seq", "Seq2", "SetExpr", "Union",
+            "bounds", "contains_point", "enumerate_points", "finite",
             "is_countably_infinite", "is_infinite", "has_uncountable_leaf", "map_affine",
             "normalize_affine", "render", "seq", "seq2", "union",
         ),

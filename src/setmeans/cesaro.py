@@ -214,23 +214,20 @@ def stream_from_seq(leaf: Seq, skip_indices=frozenset()) -> ValueStream:
 
 def _dense_edge_values(d: Dense, ascending_to_top: bool):
     # level j's multiple of 2^-j nearest the edge is level j-1's value
-    # exactly when m is even, so only j == 1 or an odd m is new
+    # exactly when m is even, so only j == 1 or an odd m is new; from
+    # level _EXACT_BITS on, the denominator alone passes _EXACT_BITS bits
+    # and a row carries its float only
     j = 1
     while True:
         den = 1 << j
         if ascending_to_top:
             m = (d.hi * den).__ceil__() - 1
-            v = Fraction(m, den)
-            ok = d.lo < v < d.hi
         else:
             m = (d.lo * den).__floor__() + 1
-            v = Fraction(m, den)
-            ok = d.lo < v < d.hi
-        if ok and (j == 1 or m & 1):
-            yield float(v), v
+        v = Fraction(m, den)
+        if d.lo < v < d.hi and (j == 1 or m & 1):
+            yield float(v), (v if j < _EXACT_BITS else None)
         j += 1
-        if j > 4000:
-            raise BudgetExceeded("dense edge stream exhausted its depth")
 
 
 def stream_from_dense_edge(d: Dense, target_hi: bool) -> ValueStream:

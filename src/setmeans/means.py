@@ -162,13 +162,13 @@ def run_schedule(evaluate, sched: Schedule) -> MeanOutcome:
     trace: list[tuple[float, float]] = []
     floats: list[float] = []
     exacts: list[Rat | None] = []
-    budget_hit = False
+    stop = None  # the parameter whose evaluation ran over the budget
     for k in sched.exponents():
         param = sched.param(k)
         try:
             got = evaluate(param)
         except BudgetExceeded:
-            budget_hit = True
+            stop = param
             break
         if got is None:
             continue
@@ -192,7 +192,10 @@ def run_schedule(evaluate, sched: Schedule) -> MeanOutcome:
                 ):
                     return _divergent(trace, floats, sched)
     if not floats:
-        reason = "budget exhausted" if budget_hit else "no evaluable schedule points"
+        reason = (
+            "no evaluable schedule points" if stop is None
+            else f"budget exhausted at parameter {stop}"
+        )
         return MeanOutcome("undefined", reason=reason, trace=tuple(trace))
     w = min(sched.stability_window, len(floats))
     band = _band(floats[-w:])
@@ -200,11 +203,11 @@ def run_schedule(evaluate, sched: Schedule) -> MeanOutcome:
         return _converged(trace, floats, exacts, sched)
     if _oscillates(floats[-min(2 * sched.stability_window, len(floats)) :]):
         return _divergent(trace, floats, sched)
-    return MeanOutcome(
-        "undefined",
-        reason="still drifting at the end of the schedule",
-        trace=tuple(trace),
+    end = (
+        "at the end of the schedule" if stop is None
+        else f"when the budget ran out at parameter {stop}"
     )
+    return MeanOutcome("undefined", reason=f"still drifting {end}", trace=tuple(trace))
 
 
 def _converged(trace, floats, exacts, sched) -> MeanOutcome:

@@ -98,15 +98,6 @@ class Dense(SetExpr):
         _set(self, "hi", hi)
 
 
-def _set_invertible_map(node, alpha, beta) -> None:
-    """Store a node's map as exact rationals; refuse alpha == 0."""
-    alpha = rat(alpha)
-    if alpha == 0:
-        raise SemanticError("affine map must be invertible (alpha != 0)")
-    _set(node, "alpha", alpha)
-    _set(node, "beta", rat(beta))
-
-
 class Cantor(SetExpr):
     """The image alpha * C + beta of the middle-thirds Cantor set C in
     [0, 1]; Cantor() is C itself."""
@@ -114,27 +105,34 @@ class Cantor(SetExpr):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Rat = Fraction(1), beta: Rat = Fraction(0)):
-        _set_invertible_map(self, alpha, beta)
+        alpha = rat(alpha)
+        if alpha == 0:
+            raise SemanticError("affine map must be invertible (alpha != 0)")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", rat(beta))
 
 
-class Affine(SetExpr):
-    """The image {alpha * x + beta : x in inner}: an input node, which
-    map_affine pushes into the leaves of the canonical tree."""
-
-    __slots__ = ("alpha", "beta", "inner")
-
-    def __init__(self, alpha: Rat, beta: Rat, inner: SetExpr):
-        _set_invertible_map(self, alpha, beta)
-        _set(self, "inner", inner)
+_LEAF_KINDS = (Finite, Seq, Seq2, IntervalSet, Dense, Cantor)
 
 
 class Union(SetExpr):
+    """A union of two or more leaves.  A union among the given parts is
+    flattened into them, so a Union never holds a Union."""
+
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[SetExpr, ...]):
-        if not parts:
-            raise SemanticError("union needs at least one part")
-        _set(self, "parts", parts)
+        flat: list[SetExpr] = []
+        for p in parts:
+            if isinstance(p, Union):
+                flat.extend(p.parts)
+            elif isinstance(p, _LEAF_KINDS):
+                flat.append(p)
+            else:
+                raise TypeError(f"unknown node {p!r}")
+        if len(flat) < 2:
+            raise SemanticError("union needs at least two parts")
+        _set(self, "parts", tuple(flat))
 
 
 def finite(*points) -> Finite:
@@ -193,50 +191,23 @@ def seq2(limit, outer: TermFun, inner: TermFun) -> Seq2:
 
 
 def union(*parts: SetExpr) -> SetExpr:
-    flat: list[SetExpr] = []
-    for p in parts:
-        if isinstance(p, Union):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    return Union(tuple(flat))
+    """The union of parts: a lone part as it stands, else a flat Union."""
+    return parts[0] if len(parts) == 1 else Union(parts)
 
 
 # ---------------------------------------------------------------------------
-# affine normalization
-
-_LEAF_KINDS = (Finite, Seq, Seq2, IntervalSet, Dense, Cantor)
+# affine maps and the leaf walk
 
 
 def normalize_affine(s: SetExpr) -> SetExpr:
-    """The canonical tree of s, read through leaves(s): a canonical tree
-    comes back as itself."""
-    parts = leaves(s)
-    if len(parts) == 1:
-        return parts[0]
-    return s if getattr(s, "parts", None) is parts else Union(parts)
+    """s itself, once leaves(s) has accepted it: every SetExpr is built
+    canonical (see Union and map_affine)."""
+    leaves(s)
+    return s
 
 
-def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
-    """The canonical tree of {a * x + b : x in s}.
-
-    Affine maps are pushed into the leaves and unions are flattened, so
-    every leaf is a Finite, Seq, Seq2, IntervalSet, Dense or Cantor, and a
-    Cantor leaf carries its map.  A mapped dense filler is re-anchored to
-    the dyadics of its image interval (same closure and measure, different
-    points).  Any other node raises TypeError, here and so in every reader
-    of leaves().
-    """
-    if a == 0:
-        raise SemanticError("affine map must be invertible (alpha != 0)")
-    if isinstance(s, Union):
-        return union(*(map_affine(p, a, b) for p in s.parts))
-    if isinstance(s, Affine):
-        return map_affine(s.inner, a * s.alpha, a * s.beta + b)
-    if not isinstance(s, _LEAF_KINDS):
-        raise TypeError(f"unknown node {s!r}")
+def _map_leaf(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
+    """The leaf {a * x + b : x in s} of a leaf s, for a != 0."""
     if isinstance(s, Finite):
         return Finite(tuple(a * x + b for x in s.points))
     if isinstance(s, Seq):
@@ -254,20 +225,25 @@ def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
     return Cantor(a * s.alpha, a * s.beta + b)
 
 
-def leaves(s: SetExpr) -> tuple[SetExpr, ...]:
-    """The flat leaf tuple of the canonical tree of s: each leaf is a
-    Finite, Seq, Seq2, IntervalSet, Dense or Cantor, never a Union or an
-    Affine.
+def map_affine(s: SetExpr, a: Rat, b: Rat) -> SetExpr:
+    """The canonical tree of {a * x + b : x in s}: each leaf mapped, and a
+    Cantor leaf carries its map.  A mapped dense filler is re-anchored to
+    the dyadics of its image interval (same closure and measure, different
+    points)."""
+    if a == 0:
+        raise SemanticError("affine map must be invertible (alpha != 0)")
+    return union(*(_map_leaf(leaf, a, b) for leaf in leaves(s)))
 
-    A leaf and a union of two or more leaves are canonical and are read as
-    they stand; any other tree is rebuilt once by map_affine(s, 1, 0).
-    """
+
+def leaves(s: SetExpr) -> tuple[SetExpr, ...]:
+    """The flat leaf tuple of s: each leaf is a Finite, Seq, Seq2,
+    IntervalSet, Dense or Cantor.  Any other node raises TypeError, here
+    and so in every reader of leaves()."""
     if isinstance(s, Union):
-        if len(s.parts) > 1 and all(isinstance(p, _LEAF_KINDS) for p in s.parts):
-            return s.parts
-    elif isinstance(s, _LEAF_KINDS):
+        return s.parts
+    if isinstance(s, _LEAF_KINDS):
         return (s,)
-    return leaves(map_affine(s, Fraction(1), Fraction(0)))
+    raise TypeError(f"unknown node {s!r}")
 
 
 def leaf_points(leaf: SetExpr) -> tuple[Rat, ...] | None:
@@ -585,11 +561,11 @@ def _fmt_termfun(limit: Rat, tfs: list[tuple[TermFun, str]]) -> str:
 
 
 def render(s: SetExpr) -> str:
-    """Emit the expression grammar for the canonical form of s.
+    """Emit the expression grammar for s.
 
     Each leaf of leaves(s) renders as one union term, so
-    parse(render(s)) == normalize_affine(s) unless a union has an empty
-    part, which parse drops; the empty set renders as {}.
+    parse(render(s)) == s unless a union has an empty part, which parse
+    drops; the empty set renders as {}.
     """
     terms = []
     for leaf in leaves(s):

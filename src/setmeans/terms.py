@@ -94,32 +94,13 @@ def _dominance_key(t: Term):
 
 
 def _merge_terms(terms) -> tuple[Term, ...]:
-    merged: dict = {}
-    order: list = []
+    """Sum the coefficients of same-shape terms (one class, equal fields
+    after c) in first-occurrence order, dropping zero sums."""
+    sums: dict = {}
     for t in terms:
-        if isinstance(t, PowTerm):
-            key = ("p", t.p)
-        elif isinstance(t, GeoTerm):
-            key = ("g", t.r)
-        else:
-            key = ("d", t.r, t.s)
-        if key in merged:
-            merged[key] = merged[key] + t.c
-        else:
-            merged[key] = t.c
-            order.append((key, t))
-    out = []
-    for key, proto in order:
-        c = merged[key]
-        if c == 0:
-            continue
-        if isinstance(proto, PowTerm):
-            out.append(PowTerm(c, proto.p))
-        elif isinstance(proto, GeoTerm):
-            out.append(GeoTerm(c, proto.r))
-        else:
-            out.append(DoubleGeoTerm(c, proto.r, proto.s))
-    return tuple(out)
+        key = (type(t), *t._fields(t)[1:])
+        sums[key] = sums.get(key, 0) + t.c
+    return tuple(cls(c, *shape) for (cls, *shape), c in sums.items() if c != 0)
 
 
 class TermFun(Value):
@@ -147,11 +128,7 @@ def tf_scale(tf: TermFun, alpha: Rat) -> TermFun:
 
 
 def _scaled(t: Term, alpha: Rat) -> Term:
-    if isinstance(t, PowTerm):
-        return PowTerm(t.c * alpha, t.p)
-    if isinstance(t, GeoTerm):
-        return GeoTerm(t.c * alpha, t.r)
-    return DoubleGeoTerm(t.c * alpha, t.r, t.s)
+    return type(t)(t.c * alpha, *t._fields(t)[1:])
 
 
 def tf_with_start(tf: TermFun, start: int) -> TermFun:

@@ -38,7 +38,6 @@ from .setexpr import (
     leaf_points,
     leaves,
     map_affine,
-    normalize_affine,
     tf_value_bounds,
     union,
 )
@@ -143,8 +142,7 @@ def acc_chain(s: SetExpr, max_depth: int = 16) -> tuple[list[SetExpr], bool]:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     chain: list[SetExpr] = []
-    cur = derived_set(s)  # derived sets come out flat and canonical
-    prev: SetExpr | None = normalize_affine(s)
+    cur, prev = derived_set(s), s
     for _ in range(max_depth):
         chain.append(cur)
         if is_empty_expr(cur):

@@ -4,7 +4,6 @@ from fractions import Fraction
 from random import Random
 
 from setmeans import (
-    Affine,
     BudgetExceeded,
     Cantor,
     Dense,
@@ -15,11 +14,12 @@ from setmeans import (
     IntervalSet,
     PowTerm,
     SemanticError,
-    Union,
     iu_normalize,
+    map_affine,
     seq,
     seq2,
     term_fun,
+    union,
 )
 
 GEO_RATIOS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4), Fraction(1, 4)]
@@ -106,7 +106,7 @@ def random_countable(rng: Random, max_parts=3, allow_seq2=True, allow_dense=Fals
         else:
             parts.append(random_seq(rng))
     rng.shuffle(parts)
-    return Union(tuple(parts)) if len(parts) > 1 else parts[0]
+    return union(*parts)
 
 
 def random_interval(rng: Random):
@@ -131,13 +131,13 @@ def random_bounded(rng: Random, max_parts=3):
             parts.append(Dense(a, a + abs(random_rat(rng)) + 1))
         elif k < 0.87:
             alpha = rng.choice([Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)])
-            parts.append(Affine(alpha, random_rat(rng), Cantor()))
+            parts.append(Cantor(alpha, random_rat(rng)))
         else:
             parts.append(random_seq2(rng))
-    s = Union(tuple(parts)) if len(parts) > 1 else parts[0]
+    s = union(*parts)
     if rng.random() < 0.25:
         alpha = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)])
-        s = Affine(alpha, random_rat(rng), s)
+        s = map_affine(s, alpha, random_rat(rng))
     return s
 
 

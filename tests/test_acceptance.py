@@ -12,7 +12,6 @@ from random import Random
 
 
 from setmeans import (
-    Affine,
     Finite,
     Ideal,
     InIdeal,
@@ -33,6 +32,7 @@ from setmeans import (
     ideal_limits,
     iu_measure,
     lavg,
+    map_affine,
     mean_acc,
     mean_eds,
     mean_ideal,
@@ -45,7 +45,6 @@ from setmeans import (
     ms_as,
     ms_axs,
     neighborhood,
-    normalize_affine,
     parse,
     stream_from_seq,
     Unsupported,
@@ -260,7 +259,7 @@ def test_criterion_7_property_suite():
         base = _exact_means_for(s)
         if not base:
             continue
-        mapped = normalize_affine(Affine(alpha, beta, s))
+        mapped = map_affine(s, alpha, beta)
         mapped_means = dict(_exact_means_for(mapped))
         for name, val in base:
             if name in mapped_means:
@@ -272,7 +271,7 @@ def test_criterion_7_property_suite():
     while done < 500:
         x = random_countable(rng, max_parts=2)
         center = random_rat(rng)
-        sym = Union((x, normalize_affine(Affine(F(-1), 2 * center, x))))
+        sym = Union((x, map_affine(x, F(-1), 2 * center)))
         for name, val in _exact_means_for(sym):
             assert val == center, name
         done += 1
@@ -461,7 +460,7 @@ def _compact_null_set(rng):
             s = parse("{1/2^n}")
         return Union((s, Finite((s.limit,))))
     alpha = rng.choice([F(1), F(2), F(-1)])
-    return Affine(alpha, random_rat(rng), Cantor())
+    return Cantor(alpha, random_rat(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +470,6 @@ def _compact_null_set(rng):
 def _brute_neighborhood(s, delta):
     from setmeans import Union as U, Seq as SeqNode, Finite as Fin, iu_normalize
 
-    s = normalize_affine(s)
     leaves = list(s.parts) if isinstance(s, U) else [s]
     parts = []
     for leaf in leaves:
@@ -501,7 +499,6 @@ def _brute_cells(s, n, base):
     a, b = base
     w = (b - a) / n
     cells = set()
-    s = normalize_affine(s)
     leaves = list(s.parts) if isinstance(s, U) else [s]
     for leaf in leaves:
         if isinstance(leaf, Fin):

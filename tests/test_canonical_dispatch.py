@@ -1,24 +1,24 @@
 """A set is read through its canonical leaves, and each leaf kind is read in
 one place.
 
-`setexpr.leaves(s)` gives the leaves of the canonical tree, each one of the
-six leaf kinds (a Cantor leaf carries its map), so a function of
-`src/setmeans` that tests `isinstance(..., Union)` or `isinstance(...,
-Affine)` itself reads the tree instead, and can disagree with the canonical
-form on a mapped dense filler or a nested union.  These tests fail when:
+Every SetExpr is built canonical: a leaf of one of the six leaf kinds (a
+Cantor leaf carries its map), or a Union of two or more leaves, which
+flattens the unions among its parts.  `setexpr.leaves(s)` reads that tree,
+so a function of `src/setmeans` that tests `isinstance(..., Union)` itself
+reads the tree a second way.  These tests fail when:
 
-- a function other than `union`, `map_affine` and `leaves` tests for a
-  Union, or one other than `map_affine` tests for an Affine (bare or
-  inside a tuple);
-- any code builds an `Affine(...)` node: no canonical tree holds one;
+- a function other than `Union.__init__` and `leaves` tests for a Union
+  (bare or inside a tuple);
+- the name `Affine` appears in `src/setmeans`: an affine image is built by
+  `map_affine`, and no tree holds an affine node;
 - a function other than `setexpr.leaf_points` calls `.is_point()`, so
   re-derives that a one-point interval is a finite point;
-- a function other than `map_affine` (an unknown node) and `ideal_limits`
-  (an unknown ideal) raises TypeError, so keeps its own unknown-node
-  fallback;
-- `leaves` or `normalize_affine` rebuilds a canonical tree through
-  `map_affine` instead of reading it, or reads a tree that is not canonical
-  (a nested union, an `Affine` node, a one-part union) as it stands.
+- a function other than `leaves`, `Union.__init__` (an unknown node) and
+  `ideal_limits` (an unknown ideal) raises TypeError, so keeps its own
+  unknown-node fallback;
+- `leaves` or `normalize_affine` calls `map_affine`, so rebuilds a tree
+  instead of reading it;
+- `Union` keeps a nested union or a lone part.
 """
 
 import ast
@@ -26,18 +26,22 @@ from fractions import Fraction as F
 from pathlib import Path
 from random import Random
 
-from setmeans import Affine, Cantor, Finite, Union, normalize_affine, parse, setexpr
+import pytest
+
+from setmeans import Cantor, Finite, SemanticError, Union, map_affine, normalize_affine
+from setmeans import parse, setexpr, union
 from setmeans.setexpr import leaves
 
 from gen import random_bounded, random_countable
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setmeans"
-MAY_TEST = {
-    "Union": {("setexpr", "union"), ("setexpr", "map_affine"), ("setexpr", "leaves")},
-    "Affine": {("setexpr", "map_affine")},
-}
+MAY_TEST_UNION = {("setexpr", "Union.__init__"), ("setexpr", "leaves")}
 MAY_CALL_IS_POINT = {("setexpr", "leaf_points")}
-MAY_RAISE_TYPE_ERROR = {("setexpr", "map_affine"), ("topology", "ideal_limits")}
+MAY_RAISE_TYPE_ERROR = {
+    ("setexpr", "leaves"),
+    ("setexpr", "Union.__init__"),
+    ("topology", "ideal_limits"),
+}
 
 
 def _modules():
@@ -45,12 +49,25 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
+def _defs(node, prefix=""):
+    """(qualified name, node) for every function under node: a method is
+    `Class.method`, a nested function `outer.inner`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _defs(child, name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
 def _functions():
-    """(module, function name, node) for every function in the package."""
+    """(module, qualified function name, node) for every function in the
+    package."""
     for module, tree in _modules():
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield module, fn.name, fn
+        for name, fn in _defs(tree):
+            yield module, name, fn
 
 
 def _names(node: ast.expr):
@@ -87,10 +104,9 @@ def _raises_type_error(fn) -> bool:
 
 def test_only_the_canonical_form_dispatches_on_union_and_affine():
     found = sorted(
-        (node, module, name)
+        (module, name)
         for module, name, fn in _functions()
-        for node in set(_tested_nodes(fn)) & set(MAY_TEST)
-        if (module, name) not in MAY_TEST[node]
+        if "Union" in set(_tested_nodes(fn)) and (module, name) not in MAY_TEST_UNION
     )
     assert found == [], found
 
@@ -100,7 +116,13 @@ def test_no_code_builds_an_affine_node():
         (module, node.lineno)
         for module, tree in _modules()
         for node in ast.walk(tree)
-        if _called(node) == "Affine"
+        if "Affine"
+        in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "value", None),
+        )
     )
     assert found == [], found
 
@@ -117,7 +139,7 @@ def test_only_leaf_points_reads_a_one_point_interval():
     assert found == [], found
 
 
-def test_only_map_affine_refuses_an_unknown_node():
+def test_only_the_leaf_walk_refuses_an_unknown_node():
     found = sorted(
         {(module, name) for module, name, fn in _functions() if _raises_type_error(fn)}
         - MAY_RAISE_TYPE_ERROR
@@ -126,9 +148,17 @@ def test_only_map_affine_refuses_an_unknown_node():
 
 
 def test_a_canonical_tree_is_read_without_map_affine(monkeypatch):
+    readers = {
+        name: fn
+        for module, name, fn in _functions()
+        if module == "setexpr" and name in ("leaves", "normalize_affine")
+    }
+    assert sorted(readers) == ["leaves", "normalize_affine"]
+    for name, fn in readers.items():
+        assert all(_called(node) != "map_affine" for node in ast.walk(fn)), name
     rng = Random(2525)
-    trees = [normalize_affine(random_bounded(rng)) for _ in range(300)]
-    trees += [normalize_affine(random_countable(rng, allow_dense=True)) for _ in range(300)]
+    trees = [random_bounded(rng) for _ in range(300)]
+    trees += [random_countable(rng, allow_dense=True) for _ in range(300)]
     calls = []
     real = setexpr.map_affine
     monkeypatch.setattr(
@@ -140,13 +170,16 @@ def test_a_canonical_tree_is_read_without_map_affine(monkeypatch):
     assert calls == []
 
 
-def test_a_tree_that_is_not_canonical_is_rebuilt():
+def test_a_union_is_flat_when_built():
     c, q, two = Cantor(), parse("{1/n}"), Finite((F(2),))
-    assert leaves(Union((Union((c, q)), two))) == (c, q, two)
-    assert leaves(Union((two, Union((q,))))) == (two, q)
-    mapped = Affine(F(2), F(1), Union((c, q)))
+    assert Union((Union((c, q)), two)).parts == (c, q, two)
+    assert Union((two, Union((q, c)))).parts == (two, q, c)
+    assert union(Union((c, q)), two) == Union((c, q, two))
+    assert union(q) is q
+    for parts in ((), (c,)):
+        with pytest.raises(SemanticError):
+            Union(parts)
+    mapped = map_affine(Union((c, q)), F(2), F(1))
     assert leaves(mapped) == (Cantor(F(2), F(1)), parse("{1 + 2/n}"))
-    assert leaves(Affine(F(1), F(0), q)) == (q,)
-    assert leaves(Union((c,))) == (c,)
-    assert normalize_affine(Union((c,))) == c
-    assert normalize_affine(mapped) == parse("2*C + 1 U {1 + 2/n}")
+    assert mapped == parse("2*C + 1 U {1 + 2/n}")
+    assert map_affine(q, F(1), F(0)) == q

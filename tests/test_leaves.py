@@ -1,6 +1,6 @@
-"""The leaf walk: `leaves()` flattens a normalized expression into the six
-leaf kinds, a Cantor leaf carries its own map, and a node of any other kind
-is refused with TypeError by every reader."""
+"""The leaf walk: `leaves()` reads a set's flat tuple of the six leaf
+kinds, a Cantor leaf carries its own map, and a node of any other kind is
+refused with TypeError by every reader and by `Union`."""
 
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -9,7 +9,6 @@ from random import Random
 import pytest
 
 from setmeans import (
-    Affine,
     Cantor,
     Dense,
     Finite,
@@ -73,7 +72,7 @@ def _expressions(rng: Random, count: int):
     for i in range(count):
         s = random_bounded(rng) if i % 3 else random_countable(rng, allow_dense=True)
         if i % 5 == 0:  # nested unions and maps over them
-            s = Affine(F(-2), F(1, 3), Union((s, random_bounded(rng))))
+            s = map_affine(Union((s, random_bounded(rng))), F(-2), F(1, 3))
         yield s
 
 
@@ -84,7 +83,7 @@ def _cantor_map(leaf):
 
 def _check_leaf(leaf):
     assert type(leaf) in LEAF_KINDS, leaf
-    assert not isinstance(leaf, (Union, Affine)), leaf
+    assert not isinstance(leaf, Union), leaf
     if isinstance(leaf, Cantor):
         assert type(leaf.alpha) is F and type(leaf.beta) is F
         assert leaf.alpha != 0
@@ -97,19 +96,19 @@ def test_leaves_property():
         assert isinstance(ls, tuple) and ls
         for leaf in ls:
             _check_leaf(leaf)
-        assert union(*ls) == normalize_affine(s)
+        assert union(*ls) == s
 
 
 def test_leaves_examples():
     assert leaves(parse("C")) == (Cantor(),)
     assert _cantor_map(leaves(parse("3*C + 1 U {1/n}"))[0]) == (F(3), F(1))
-    nested = Affine(F(2), F(0), Union((Cantor(), Union((Cantor(), parse("{0}"))))))
+    nested = map_affine(Union((Cantor(), Union((Cantor(), parse("{0}"))))), F(2), F(0))
     assert [_cantor_map(l) for l in leaves(nested)] == [(2, 0), (2, 0), None]
 
 
 def test_cantor_map_identity_and_mapped():
     assert _cantor_map(Cantor()) == (F(1), F(0))
-    (mapped,) = leaves(Affine(F(-1, 3), F(2), Cantor()))
+    (mapped,) = leaves(map_affine(Cantor(), F(-1, 3), F(2)))
     assert _cantor_map(mapped) == (F(-1, 3), F(2))
     assert _cantor_map(parse("{1/n}")) is None
     assert _cantor_map(parse("[0, 1]")) is None
@@ -163,8 +162,12 @@ def test_structural_functions_read_the_canonical_leaves():
     )
     rng = Random(515)
     for _ in range(400):
-        s = random_bounded(rng)  # a quarter are an Affine of the union
-        c = normalize_affine(s)
+        s = random_bounded(rng)  # a quarter are an affine image of the union
+        ls = leaves(s)
+        c = ls[-1]  # the same leaves, built as right-nested unions
+        for leaf in reversed(ls[:-1]):
+            c = Union((leaf, c))
+        assert c == s
         for fn in structural:
             assert fn(s) == fn(c), (fn.__name__, s)
         lo, hi, _, _ = bounds(c)
@@ -178,7 +181,7 @@ def test_structural_functions_read_the_canonical_leaves():
 def test_map_affine_images():
     s = parse("{1/n} U Q(0,1) U C")
     assert map_affine(s, 2, 1) == parse("{1 + 2/n} U Q(1,3) U 2*C + 1")
-    assert map_affine(Affine(F(3), F(0), Cantor()), F(1, 3), F(0)) == Cantor()
+    assert map_affine(map_affine(Cantor(), F(3), F(0)), F(1, 3), F(0)) == Cantor()
     with pytest.raises(SemanticError):
         map_affine(s, 0, 1)
 
@@ -232,8 +235,13 @@ READERS = {
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_an_unknown_node_gets_one_answer(name):
-    """Every reader reaches its leaves through map_affine, which is the one
+    """Every reader reaches its leaves through leaves(), which is the one
     place that refuses a node outside the six leaf kinds."""
-    for s in (union(Odd(), parse("{1/n}")), Affine(F(2), F(0), Odd())):
+    with pytest.raises(TypeError, match="unknown node"):
+        READERS[name](Odd())
+
+
+def test_a_union_refuses_an_unknown_node_when_built():
+    for parts in ((Odd(), parse("{1/n}")), (parse("{1/n}"), Odd())):
         with pytest.raises(TypeError, match="unknown node"):
-            READERS[name](s)
+            union(*parts)

@@ -211,10 +211,9 @@ def test_eds_cells_brute_oracle():
         # prefix occupancy is a subset; anything extra sits in a tail block
         assert brute <= impl
         extras = impl - brute
-        from setmeans import Seq, Union, normalize_affine
+        from setmeans import Seq, Union
 
-        norm = normalize_affine(s)
-        leaves = list(norm.parts) if isinstance(norm, Union) else [norm]
+        leaves = list(s.parts) if isinstance(s, Union) else [s]
         limit_cells = set()
         for leaf in leaves:
             if isinstance(leaf, Seq):
@@ -286,6 +285,18 @@ def test_engine_divergence_and_convergence():
 
     out = run_schedule(conv, Schedule("delta", 4, 40, 1e-6, 3))
     assert out.status == "converged" and abs(out.value - 1.0) < 1e-4
+
+
+def test_a_budget_stop_names_its_parameter():
+    # {1/n} needs more cells at each doubling of the grid: a tiny budget
+    # stops at the first step, a larger one after three drifting steps
+    s = parse("{1/n}")
+    first = mean_eds(s, budget=1)
+    assert (first.status, first.trace) == ("undefined", ())
+    assert first.reason == "budget exhausted at parameter 1024"
+    later = mean_eds(s, budget=50)
+    assert later.status == "undefined" and len(later.trace) == 3
+    assert later.reason == "still drifting when the budget ran out at parameter 8192"
 
 
 @pytest.mark.parametrize(

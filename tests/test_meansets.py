@@ -6,17 +6,16 @@ from random import Random
 import pytest
 
 from setmeans import (
-    Affine,
     Ideal,
     Interval,
     Unsupported,
     axs_condition_holds,
     ideal_limits,
+    map_affine,
     ms_a,
     ms_as,
     ms_axs,
     ms_ces,
-    normalize_affine,
     parse,
     split_at,
 )
@@ -106,7 +105,7 @@ def test_affine_equivariance():
         s = random_countable(rng)
         alpha = F(rng.choice([2, -1, -3, 1]), rng.choice([1, 2]))
         beta = random_rat(rng)
-        mapped = normalize_affine(Affine(alpha, beta, s))
+        mapped = map_affine(s, alpha, beta)
         for fn in (ms_a, ms_ces, ms_as, ms_axs):
             try:
                 base = fn(s)

@@ -36,10 +36,8 @@ from setmeans import (
     ms_hf,
     isolated_outside,
     neighborhood,
-    normalize_affine,
     parse,
     split_at,
-    Affine,
     Union,
     PowTerm,
     seq,
@@ -126,7 +124,6 @@ def _brute_neighborhood(s, delta):
     """Prefix balls plus the per-leaf tail cover (independent assembly)."""
     from setmeans import Seq, Union, Finite
 
-    s = normalize_affine(s)
     leaves = list(s.parts) if isinstance(s, Union) else [s]
     parts = []
     for leaf in leaves:
@@ -355,6 +352,22 @@ def test_eds_cells_cantor_within_budget():
     assert impl == {((p - a) / w).__floor__() for p in ends}
 
 
+def test_cell_of_a_point_with_a_tiny_tail_on_a_cell_boundary():
+    # at n = 16, 1/2^(2^n) is carried as a symbolic tiny, and 1/16 is a
+    # cell boundary of each grid below; the tiny decides the side exactly
+    below, above = parse("{1/n - 1/2^(2^n)}"), parse("{1/n + 1/2^(2^n)}")
+    shifted = seq(-F(1, 2**70000), above.tail)  # tiny limit below the tiny tail
+    for s, base, cell in (
+        (below, (F(0), F(1)), 63),
+        (above, (F(0), F(2)), 32),
+        (shifted, (F(-2), F(2)), 528),
+    ):
+        a, b = base
+        assert _cell_of_seq_point(s.tail, 16, s.limit, a, b, 2**10) == cell
+        assert cell in set(eds_cells(s, 2**10, base).indices())
+    assert 64 not in set(eds_cells(below, 2**10, (F(0), F(1))).indices())
+
+
 def _cells_one_range_per_point(s, n, base):
     """The occupied cells built one range per point and per hull, merged."""
     a, b = base
@@ -471,12 +484,12 @@ def test_neighborhood_monotone_and_equivariant():
         big = neighborhood(s, d2)
         assert iu_contains_union(big, small)
         x = random_rat(rng)
-        assert neighborhood(normalize_affine(Affine(F(1), x, s)), d1) == iu_shift(
+        assert neighborhood(map_affine(s, F(1), x), d1) == iu_shift(
             small, x
         )
         a = F(rng.choice([2, -3]), rng.choice([1, 2]))
         assert neighborhood(
-            normalize_affine(Affine(a, F(0), s)), d1 * abs(a)
+            map_affine(s, a, F(0)), d1 * abs(a)
         ) == iu_scale(small, a)
 
 
@@ -546,7 +559,7 @@ def test_ms_hf_reflection():
         parts = [random_interval(rng) for _ in range(rng.randint(1, 3))]
         s = parse(" U ".join(f"[{p.iv.lo}, {p.iv.hi}]" for p in parts))
         center = random_rat(rng)
-        reflected = normalize_affine(Affine(F(-1), 2 * center, s))
+        reflected = map_affine(s, F(-1), 2 * center)
         lhs = ms_hf(reflected)
         rhs = ms_hf(s).map_affine(F(-1), 2 * center)
         assert lhs.parts == rhs.parts
@@ -627,7 +640,7 @@ def _fallback_leaves(draw):
         parts.append(random_seq2(rng))
     if draw(st.booleans()):
         alpha = draw(st.sampled_from([F(1), F(2), F(-1), F(1, 3)]))
-        parts.append(Affine(alpha, random_rat(rng), Cantor()))
+        parts.append(Cantor(alpha, random_rat(rng)))
     if draw(st.booleans()):
         parts.append(Finite((F(0),)))
     if draw(st.booleans()):

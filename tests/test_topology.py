@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from setmeans import (
-    Affine,
     BudgetExceeded,
     Finite,
     Ideal,
@@ -61,15 +60,15 @@ def _point_set(s, budget=300):
 
 
 def test_closure_examples():
-    got = normalize_affine(closure(parse("{1/n}")))
+    got = closure(parse("{1/n}"))
     assert _point_set(got, 50) >= {F(0), F(1), F(1, 2)}
-    assert render(normalize_affine(closure(parse("Q(1,2)")))) == "[1, 2]"
+    assert render(closure(parse("Q(1,2)"))) == "[1, 2]"
     assert closure(parse("C")) == parse("C")
 
 
 def test_derived_examples():
-    assert _point_set(normalize_affine(derived_set(H1)), 10) == {F(0), F(1)}
-    d3 = normalize_affine(derived_set(H3))
+    assert _point_set(derived_set(H1), 10) == {F(0), F(1)}
+    d3 = derived_set(H3)
     pts = _point_set(d3, 60)
     assert F(0) in pts and F(1) in pts and F(2) in pts and F(1) + F(1, 5) in pts
     assert is_empty_expr(derived_set(parse("{0, 1}")))
@@ -96,7 +95,7 @@ def _brute_acc_points(s, n_pts=4000, eps=1e-3):
 
 
 def test_derived_brute_force_cluster_oracle():
-    d3 = normalize_affine(derived_set(H3))
+    d3 = derived_set(H3)
     clustered = _brute_acc_points(H3)
     assert clustered, "truncation must show clusters"
     dpts = [float(v) for v in enumerate_points(d3, 300)]
@@ -123,8 +122,8 @@ def test_derived_commutes_with_affine():
     for _ in range(150):
         s = random_countable(rng)
         alpha, beta = F(rng.choice([2, -1, 3, -2]), rng.randint(1, 3)), random_rat(rng)
-        lhs = normalize_affine(derived_set(normalize_affine(Affine(alpha, beta, s))))
-        rhs = normalize_affine(Affine(alpha, beta, derived_set(s)))
+        lhs = derived_set(map_affine(s, alpha, beta))
+        rhs = map_affine(derived_set(s), alpha, beta)
         assert lhs == rhs
 
 
@@ -274,7 +273,7 @@ def test_isolated_brute_oracle():
         delta = F(1, rng.randint(3, 12))
         got = set(isolated_outside(s, delta))
         pts = enumerate_points(s, 3000)
-        accs = enumerate_points(normalize_affine(derived_set(s)), 400)
+        accs = enumerate_points(derived_set(s), 400)
         brute = {
             x for x in pts if all(abs(x - a) >= delta for a in accs)
         }
@@ -308,7 +307,7 @@ def test_isolated_family_brute_oracle():
         delta = F(1, rng.randint(3, 10))
         got = set(isolated_outside(s, delta))
         pts = enumerate_points(s, 6000)
-        accs = enumerate_points(normalize_affine(derived_set(s)), 600)
+        accs = enumerate_points(derived_set(s), 600)
         brute = {x for x in pts if all(abs(x - a) >= delta for a in accs)}
         assert got <= set(pts), "an isolated point beyond the enumerated prefix"
         assert got <= brute

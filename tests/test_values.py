@@ -12,8 +12,9 @@ import pytest
 
 from setmeans.cesaro import MergeParams
 from setmeans.core import Interval, IntervalUnion
+from setmeans.errors import SemanticError
 from setmeans.means import CellCover, MeanOutcome, OscillatingIsoSet, Schedule
-from setmeans.setexpr import Affine, Cantor, Dense, Finite, IntervalSet, Seq, Seq2, Union
+from setmeans.setexpr import Cantor, Dense, Finite, IntervalSet, Seq, Seq2, Union
 from setmeans.terms import DoubleGeoTerm, GeoTerm, PowTerm, TermFun, TinyTerm
 from setmeans.topology import AccPoint
 
@@ -56,11 +57,6 @@ CASES = [
     (IntervalSet(UNIT), (UNIT,), "IntervalSet(iv=[0, 1])"),
     (Dense(F(0), F(1)), (F(0), F(1)), "Dense(lo=Fraction(0, 1), hi=Fraction(1, 1))"),
     (Cantor(3, 1), (F(3), F(1)), "Cantor(alpha=Fraction(3, 1), beta=Fraction(1, 1))"),
-    (
-        Affine(2, F(1, 3), ZERO),
-        (F(2), F(1, 3), ZERO),
-        f"Affine(alpha=Fraction(2, 1), beta=Fraction(1, 3), inner={ZERO_TEXT})",
-    ),
     (
         Union((ZERO, Seq(F(0), TF))),
         ((ZERO, Seq(F(0), TF)),),
@@ -139,7 +135,12 @@ def test_keyword_construction():
 
 def test_constructors_normalize_and_validate():
     assert type(Cantor(3, 1).alpha) is F and type(Cantor().beta) is F
-    assert Affine(2, 1, ZERO) == Affine(F(2), F(1), ZERO)
+    # a union flattens the unions among its parts, and needs two parts
+    a, b, c = ZERO, Seq(F(0), TF), Cantor()
+    assert Union((a, Union((b, c)))) == Union((a, b, c))
+    assert Union((a, Union((b, c)))).parts == (a, b, c)
+    with pytest.raises(SemanticError):
+        Union((a,))
     with pytest.raises(ValueError):
         Interval(F(1), F(0))
     with pytest.raises(ValueError):
